@@ -162,12 +162,10 @@ def cmd_decompose(args) -> int:
     elif args.format == "csv":
         print("v0,k0,lambda0,r0,b0,theta,v1,k1,lambda1,r1,b1,mu")
         print(",".join(str(x) for x in (
-            d.v0, d.k0, d.lambda0, inner.r, inner.b, d.theta,
-            d.v1, d.k1, quot.lam, quot.r, quot.b, d.mu)))
+            d.v0, d.k0, "-" if d.lambda0 is None else d.lambda0, inner.r,
+            inner.b, d.theta, d.v1, d.k1, quot.lam, quot.r, quot.b, d.mu)))
     else:
-        print("%d %d %s %d %d %d | %d %d %d %d %d | %d" % (
-            d.v0, d.k0, d.lambda0, inner.r, inner.b, d.theta,
-            d.v1, d.k1, quot.lam, quot.r, quot.b, d.mu))
+        print(d.table_row())
     return EXIT_OK
 
 

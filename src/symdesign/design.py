@@ -246,6 +246,11 @@ def design_from_json(text: str) -> IncidenceStructure:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "v" not in obj or "blocks" not in obj:
         raise ValueError("design JSON must be an object with 'v' and 'blocks'")
-    v = obj["v"]
-    blocks = [[x - 1 for x in blk] for blk in obj["blocks"]]
-    return IncidenceStructure(v, blocks)
+    v, blocks = obj["v"], obj["blocks"]
+    # bool is a subclass of int, but JSON true/false are not point numbers
+    if type(v) is not int:
+        raise ValueError("'v' must be an integer, got %r" % (v,))
+    if not isinstance(blocks, list) or not all(
+            isinstance(blk, list) and all(type(x) is int for x in blk) for blk in blocks):
+        raise ValueError("'blocks' must be a list of lists of integers")
+    return IncidenceStructure(v, [[x - 1 for x in blk] for blk in blocks])

@@ -17,6 +17,7 @@ certificates are produced.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Sequence
 
 from .design import IncidenceStructure
 from .perm import Perm, PermGroup
@@ -123,7 +124,7 @@ class _ReferencePath:
         self.leaf_points = [c[0] for c in cells if c[0] < g.v]
 
 
-def _map_blocks_ok(src: _Graph, dst: _Graph, img: list[int]) -> bool:
+def _map_blocks_ok(src: _Graph, dst: _Graph, img: Sequence[int]) -> bool:
     """Does the point map img carry src's block multiset onto dst's?"""
     remaining = dict(dst.block_counter)
     for j in range(src.b):
@@ -191,8 +192,10 @@ def automorphism_group(s: IncidenceStructure,
                        known: PermGroup | None = None) -> PermGroup:
     """The full automorphism group of a structure, as a permutation group.
 
-    A known subgroup may be passed as a starting point; it only speeds up
-    the search.  The result is deterministic either way.
+    A known subgroup may be passed as a starting point.  Only its generators
+    that carry the block multiset onto itself are used, so a wrong hint can
+    cost speed but cannot put a non-automorphism into the result.  Each
+    generator the search finds extends the chain of the group found so far.
     """
     if s.v > 100:
         raise ValueError("supported up to 100 points, got v=%d" % s.v)
@@ -202,10 +205,9 @@ def automorphism_group(s: IncidenceStructure,
     if known is not None:
         if known.degree != s.v:
             raise ValueError("known subgroup degree mismatch")
-        gens.extend(known.generators)
+        gens = [p for p in known.generators if _map_blocks_ok(g, g, p.img)]
+    kgroup = PermGroup(gens, s.v)
     while True:
-        kgroup = PermGroup(gens, s.v)
-
         def accept(img: list[int]) -> Perm | None:
             p = Perm(img)
             if kgroup.contains(p):
@@ -217,7 +219,7 @@ def automorphism_group(s: IncidenceStructure,
         new = _search(ref, g, kgroup, accept)
         if new is None:
             return kgroup
-        gens.append(new)
+        kgroup = kgroup.extend(new)
 
 
 def are_isomorphic(s1: IncidenceStructure,

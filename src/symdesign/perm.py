@@ -9,6 +9,29 @@ applied first.  Everything here is deterministic — base points are chosen
 as the smallest moved point, orbits are grown breadth-first in generator
 order — so group data (orders, orbits, block systems) is reproducible
 byte-for-byte across runs.
+
+Only the public ``Perm(...)`` constructor and the parsers check that an
+image tuple is a permutation; products, inverses and the chain code build
+their results unchecked, since they are permutations by construction.
+
+A group runs Schreier–Sims once, when it is constructed.  Groups derived
+from it reuse that chain:
+
+* ``point_stabilizer(p)`` reads the stabilizer off the chain.  For the
+  first base point it takes levels 1 and deeper as they are; for a point of
+  the first basic orbit it conjugates those levels by the transversal
+  element carrying the first base point to ``p``.  Any other moved point
+  costs one rebuild from the strong generators with ``p`` as the first base
+  point, which stops as soon as the basic orbit lengths multiply up to the
+  order already known.
+* ``extend(g)`` sifts ``g`` into a copy of the chain and re-verifies only
+  the levels its residue reaches.  Each level records which of its Schreier
+  generators are known to sift to the identity; transversals are only ever
+  extended, so only the Schreier generators of new points and new
+  generators are sifted again.
+
+References: Seress, *Permutation Group Algorithms* (2003), ch. 4–5; Holt,
+Eick and O'Brien, *Handbook of Computational Group Theory* (2005), §4.4.
 """
 
 from __future__ import annotations
@@ -30,7 +53,7 @@ class Perm:
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
+        return _perm(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Perm":
@@ -61,14 +84,10 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         # apply self first, then other
         oi = other.img
-        return Perm(tuple(oi[x] for x in self.img))
+        return _perm(tuple([oi[x] for x in self.img]))
 
     def inv(self) -> "Perm":
-        img = self.img
-        out = [0] * len(img)
-        for x, y in enumerate(img):
-            out[y] = x
-        return Perm(out)
+        return _perm(_inverse(self.img))
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -83,7 +102,7 @@ class Perm:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.img))
+        return self.img == tuple(range(len(self.img)))
 
     def moved(self) -> list[int]:
         return [x for x, y in enumerate(self.img) if x != y]
@@ -121,7 +140,7 @@ class Perm:
         """Same permutation viewed on a larger domain (new points fixed)."""
         if degree < self.degree:
             raise ValueError("cannot shrink a permutation")
-        return Perm(self.img + tuple(range(self.degree, degree)))
+        return _perm(self.img + tuple(range(self.degree, degree)))
 
     def apply_to_set(self, points: Iterable[int]) -> frozenset[int]:
         return frozenset(self.img[x] for x in points)
@@ -141,6 +160,23 @@ class Perm:
 
     def __repr__(self) -> str:
         return "Perm[%s]" % self.cycle_string()
+
+
+_new = object.__new__
+
+
+def _perm(img: tuple[int, ...]) -> Perm:
+    """A Perm on an image tuple that is a permutation by construction."""
+    p = _new(Perm)
+    p.img = img
+    return p
+
+
+def _inverse(img: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(img)
+    for x, y in enumerate(img):
+        out[y] = x
+    return tuple(out)
 
 
 def parse_permutation(text: str, degree: int) -> Perm:
@@ -201,13 +237,26 @@ def render_generator_file(degree: int, gens: Sequence[Perm]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class PermGroup:
-    """A permutation group with a deterministic Schreier-Sims stabilizer chain.
+class _OrderReached(Exception):
+    """A build of known order has reached it, so its chain is complete."""
 
-    The chain is built eagerly at construction.  Base points are the smallest
-    point moved by the relevant stabilizer, except that points listed in
-    ``base_hint`` are preferred while they are still moved; transversals are
-    grown breadth-first in generator order.
+
+class PermGroup:
+    """A permutation group with a deterministic Schreier–Sims stabilizer chain.
+
+    The chain is built eagerly at construction.  Base points are the points
+    listed in ``base_hint`` (kept even where the group fixes them), then the
+    smallest point moved by each new strong generator; transversals are
+    grown breadth-first in generator order and only ever extended.
+
+    ``point_stabilizer`` and ``extend`` derive new groups from this chain
+    without a fresh Schreier–Sims run from the start (see the module
+    docstring).  A chain never changes after construction, so a stabilizer
+    shares its levels with the group it was read from.  The private
+    keyword-only arguments serve them: ``_order`` is the group's order,
+    known in advance, and ends the build as soon as the chain reaches it;
+    ``_chain`` is a group generated by a prefix of ``generators`` whose
+    chain is copied and extended by the rest.
     """
 
     def __init__(
@@ -215,6 +264,9 @@ class PermGroup:
         generators: Sequence[Perm],
         degree: int | None = None,
         base_hint: Sequence[int] = (),
+        *,
+        _order: int | None = None,
+        _chain: "PermGroup | None" = None,
     ):
         gens = [g for g in generators if not g.is_identity()]
         if degree is None:
@@ -227,11 +279,23 @@ class PermGroup:
                 raise ValueError("generator degree %d exceeds group degree %d" % (g.degree, degree))
         self.degree = degree
         self.generators = tuple(gens)
-        self._base: list[int] = []
-        self._lvl_gens: list[list[Perm]] = []  # _lvl_gens[i] generates the stabilizer of _base[:i]
-        self._trans: list[dict[int, Perm]] = []
-        self._base_hint = tuple(base_hint)
-        self._build_chain()
+        self._ident = tuple(range(degree))
+        if _chain is None:
+            self._base: list[int] = []
+            self._lvl_gens: list[list[Perm]] = []  # _lvl_gens[i] generates the stabilizer of _base[:i]
+            # _trans[i][x] = (u, u^-1) as image tuples, where u maps _base[i] to x
+            self._trans: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+            # _checked[i] = (p, n): the Schreier generators of the first p
+            # points and first n generators of level i are known to sift
+            self._checked: list[tuple[int, int]] = []
+            self._build_chain(base_hint, _order)
+        else:
+            self._base = list(_chain._base)
+            self._lvl_gens = [list(gens) for gens in _chain._lvl_gens]
+            self._trans = [dict(trans) for trans in _chain._trans]
+            self._checked = list(_chain._checked)
+            for g in self.generators[len(_chain.generators):]:
+                self._sift_in(g)
 
     # -- chain construction ------------------------------------------------
 
@@ -244,35 +308,36 @@ class PermGroup:
     def _append_level(self, point: int) -> None:
         self._base.append(point)
         self._lvl_gens.append([])
-        self._trans.append({point: Perm.identity(self.degree)})
+        self._trans.append({point: (self._ident, self._ident)})
+        self._checked.append((0, 0))
 
-    def _recompute_transversal(self, i: int) -> None:
-        ident = Perm.identity(self.degree)
-        trans = {self._base[i]: ident}
-        queue = [self._base[i]]
-        gens = self._lvl_gens[i]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            ux = trans[x]
-            for g in gens:
+    def _extend_transversal(self, i: int) -> None:
+        """Close the orbit of level i under its generators, keeping old entries."""
+        trans = self._trans[i]
+        imgs = [g.img for g in self._lvl_gens[i]]
+        queue = list(trans)
+        for x in queue:  # grows while it is read: breadth-first
+            ux = trans[x][0]
+            for g in imgs:
                 y = g[x]
                 if y not in trans:
-                    trans[y] = ux * g
+                    uy = tuple([g[z] for z in ux])
+                    trans[y] = (uy, _inverse(uy))
                     queue.append(y)
-        self._trans[i] = trans
 
-    def _strip(self, g: Perm, from_level: int) -> tuple[Perm, int]:
-        """Sift g through levels >= from_level; return (residue, level reached)."""
-        h = g
-        for i in range(from_level, len(self._base)):
-            x = h[self._base[i]]
-            rep = self._trans[i].get(x)
-            if rep is None:
-                return h, i
-            h = h * rep.inv()
-        return h, len(self._base)
+    def _strip(self, img: tuple[int, ...], from_level: int) -> tuple[tuple[int, ...], int]:
+        """Sift an image through levels >= from_level; return (residue, level reached)."""
+        base, trans = self._base, self._trans
+        for i in range(from_level, len(base)):
+            b = base[i]
+            x = img[b]
+            if x != b:
+                rep = trans[i].get(x)
+                if rep is None:
+                    return img, i
+                inv = rep[1]
+                img = tuple([inv[y] for y in img])
+        return img, len(base)
 
     def _syntactic_level(self, g: Perm) -> int:
         """Largest l with g fixing _base[:l], extending the base if g fixes all of it."""
@@ -289,35 +354,43 @@ class PermGroup:
         for i in range(from_level, level + 1):
             self._lvl_gens[i].append(g)
 
-    def _verify_level(self, i: int) -> None:
+    def _verify_level(self, i: int, order: int | None) -> None:
         """Schreier-Sims step: complete level i, assuming deeper levels are complete.
 
-        New strong generators found here are anchored strictly below level i,
-        so the generator list and transversal of level i stay valid for the
-        whole scan.
+        Only Schreier generators not checked before are sifted.  New strong
+        generators found here are anchored strictly below level i, so the
+        generator list and transversal of level i stay valid for the whole
+        scan.  Raises _OrderReached once the chain reaches a known order.
         """
-        self._recompute_transversal(i)
         trans = self._trans[i]
-        points = list(trans.keys())
-        gens = list(self._lvl_gens[i])
-        for x in points:
-            ux = trans[x]
-            for g in gens:
-                y = g[x]
-                schreier = ux * g * trans[y].inv()
-                if schreier.is_identity():
+        imgs = [g.img for g in self._lvl_gens[i]]
+        done_points, done_gens = self._checked[i]
+        if (done_points, done_gens) == (len(trans), len(imgs)):
+            return
+        self._extend_transversal(i)
+        if order is not None and self.order() == order:
+            raise _OrderReached
+        ident = self._ident
+        points = list(trans)
+        for n, x in enumerate(points):
+            ux = trans[x][0]
+            for g in imgs[done_gens if n < done_points else 0:]:
+                uy_inv = trans[g[x]][1]
+                schreier = tuple([uy_inv[g[z]] for z in ux])
+                if schreier == ident:
                     continue
                 residue, j = self._strip(schreier, i + 1)
-                if residue.is_identity():
+                if residue == ident:
                     continue
-                self._insert_generator(residue, j, i + 1)
+                self._insert_generator(_perm(residue), j, i + 1)
                 for l in range(min(j, len(self._base) - 1), i, -1):
-                    self._verify_level(l)
+                    self._verify_level(l, order)
+        self._checked[i] = (len(points), len(imgs))
 
-    def _build_chain(self) -> None:
+    def _build_chain(self, base_hint: Sequence[int], order: int | None) -> None:
         # hint points become the leading base points unconditionally; a point
         # the group barely moves just yields a singleton transversal
-        for p in self._base_hint:
+        for p in base_hint:
             if not 0 <= p < self.degree:
                 raise ValueError("base hint point %d out of range" % p)
             if p not in self._base:
@@ -326,8 +399,80 @@ class PermGroup:
             level = self._syntactic_level(g)
             for i in range(level + 1):
                 self._lvl_gens[i].append(g)
-        for i in range(len(self._base) - 1, -1, -1):
-            self._verify_level(i)
+        try:
+            for i in range(len(self._base) - 1, -1, -1):
+                self._verify_level(i, order)
+        except _OrderReached:
+            # the product of the basic orbit lengths is |G|, so every basic
+            # orbit is complete and every Schreier generator sifts
+            self._checked = [(len(t), len(g)) for t, g in zip(self._trans, self._lvl_gens)]
+
+    def _sift_in(self, g: Perm) -> None:
+        """Add one generator to a complete chain, re-verifying the levels it reaches."""
+        residue, j = self._strip(g.img, 0)
+        if residue == self._ident:
+            return
+        self._insert_generator(_perm(residue), j, 0)
+        for i in range(min(j, len(self._base) - 1), -1, -1):
+            self._verify_level(i, None)
+
+    # -- derived groups ----------------------------------------------------
+
+    def extend(self, g: Perm) -> "PermGroup":
+        """The group generated by this one and g; its generators are ours plus g."""
+        return PermGroup(self.generators + (g,), self.degree, _chain=self)
+
+    def point_stabilizer(self, point: int) -> "PermGroup":
+        """The stabilizer of one point, read off this group's chain.
+
+        The group itself when it fixes the point; otherwise levels 1 and
+        deeper of this chain, conjugated when the point is in the first
+        basic orbit but not the first base point, or of one rebuild with the
+        point first when it is not in the first basic orbit.
+        """
+        if not 0 <= point < self.degree:
+            raise ValueError("point %d out of range" % point)
+        if all(g.img[point] == point for g in self.generators):
+            return self
+        rep = self._trans[0].get(point)
+        if rep is None:
+            rebased = PermGroup(self.strong_generators(), self.degree,
+                                base_hint=[point, *self._base], _order=self.order())
+            return rebased._first_stabilizer(None)
+        return self._first_stabilizer(None if point == self._base[0] else rep)
+
+    def _first_stabilizer(
+        self, rep: tuple[tuple[int, ...], tuple[int, ...]] | None
+    ) -> "PermGroup":
+        """Levels 1 and deeper as a group: the stabilizer of the first base point.
+
+        With rep = (t, t^-1) from the first transversal, the levels are
+        conjugated by t, giving the stabilizer of the point t carries the
+        first base point to.
+        """
+        base, lvl_gens, trans = self._base[1:], self._lvl_gens[1:], self._trans[1:]
+        if rep is not None:
+            t, t_inv = rep
+
+            def conj(img: tuple[int, ...]) -> tuple[int, ...]:
+                return tuple([t[img[z]] for z in t_inv])
+
+            conjugated: dict[int, Perm] = {}
+            for gens in lvl_gens:
+                for g in gens:
+                    if id(g) not in conjugated:
+                        conjugated[id(g)] = _perm(conj(g.img))
+            base = [t[b] for b in base]
+            lvl_gens = [[conjugated[id(g)] for g in gens] for gens in lvl_gens]
+            trans = [{t[x]: (conj(u), conj(u_inv)) for x, (u, u_inv) in level.items()}
+                     for level in trans]
+        stab = _new(PermGroup)
+        stab.degree = self.degree
+        stab.generators = tuple(lvl_gens[0]) if lvl_gens else ()
+        stab._ident = self._ident
+        stab._base, stab._lvl_gens, stab._trans = base, lvl_gens, trans
+        stab._checked = self._checked[1:]
+        return stab
 
     # -- queries -----------------------------------------------------------
 
@@ -355,9 +500,9 @@ class PermGroup:
             elif any(g[x] != x for x in range(self.degree, g.degree)):
                 return False
             else:
-                g = Perm(g.img[: self.degree])
-        residue, _ = self._strip(g, 0)
-        return residue.is_identity()
+                g = _perm(g.img[: self.degree])
+        residue, _ = self._strip(g.img, 0)
+        return residue == self._ident
 
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
@@ -384,33 +529,19 @@ class PermGroup:
     def is_regular(self) -> bool:
         return self.is_transitive() and self.order() == self.degree
 
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """The stabilizer of one point, as a group with its own chain."""
-        if not 0 <= point < self.degree:
-            raise ValueError("point %d out of range" % point)
-        rebased = self if (self._base and self._base[0] == point) else PermGroup(
-            self.generators, self.degree, base_hint=[point]
-        )
-        gens = rebased._lvl_gens[1] if len(rebased._base) > 1 else []
-        return PermGroup([g for g in gens if g[point] == point], self.degree)
-
-    def coset_representative(self, level: int, point: int) -> Perm:
-        return self._trans[level][point]
-
     def iter_elements(self) -> Iterator[Perm]:
         """All elements, via the transversal product; only sane for small orders."""
 
-        def rec(i: int, prefix: Perm) -> Iterator[Perm]:
+        def rec(i: int, prefix: tuple[int, ...]) -> Iterator[Perm]:
             if i == len(self._trans):
-                yield prefix
+                yield _perm(prefix)
                 return
-            for x in sorted(self._trans[i]):
-                yield from rec(i + 1, self._trans[i][x] * prefix)
+            trans = self._trans[i]
+            for x in sorted(trans):
+                u = trans[x][0]
+                yield from rec(i + 1, tuple([prefix[y] for y in u]))
 
-        if not self._trans:
-            yield Perm.identity(self.degree)
-            return
-        yield from rec(0, Perm.identity(self.degree))
+        yield from rec(0, self._ident)
 
     def __repr__(self) -> str:
         return "PermGroup(degree=%d, order=%d, ngens=%d)" % (
@@ -420,36 +551,22 @@ class PermGroup:
         )
 
 
-def group_from_generators(generators: Sequence[Perm], degree: int | None = None) -> PermGroup:
-    return PermGroup(generators, degree)
-
-
 def orbit(gens: Sequence[Perm], point: int, degree: int | None = None) -> list[int]:
     """The orbit of a point under a generator list, sorted ascending."""
     if degree is None:
         degree = max((g.degree for g in gens), default=point + 1)
     if not 0 <= point < degree:
         raise ValueError("point %d out of range 0..%d" % (point, degree - 1))
+    imgs = [g.img for g in gens]
     seen = {point}
     queue = [point]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g in gens:
-            y = g[x] if x < g.degree else x
+    for x in queue:  # grows while it is read: breadth-first
+        for img in imgs:
+            y = img[x] if x < len(img) else x
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return sorted(seen)
-
-
-def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
-    return group.point_stabilizer(point)
-
-
-def is_regular(group: PermGroup) -> bool:
-    return group.is_regular()
 
 
 def rank_and_subdegrees(group: PermGroup) -> tuple[int, tuple[int, ...]]:
@@ -561,7 +678,8 @@ def set_stabilizer(group: PermGroup, points: Iterable[int]) -> PermGroup:
     pruned by set membership (base points inside the set must land inside it,
     points outside must land outside) and by minimality in the orbits of the
     already-found stabilizer elements.  Each search pass either produces one
-    new stabilizer element or proves the found subgroup complete.
+    new stabilizer element, which extends the found subgroup's chain, or
+    proves the found subgroup complete.
     """
     s = frozenset(points)
     degree = group.degree
@@ -572,7 +690,6 @@ def set_stabilizer(group: PermGroup, points: Iterable[int]) -> PermGroup:
     chain = PermGroup(group.generators, degree, base_hint=sorted(s))
     base = chain._base
     in_set = [b in s for b in base]
-    found: list[Perm] = []
 
     def dfs(level: int, partial: Perm, known: PermGroup, kgroup: PermGroup) -> Perm | None:
         if level == len(base):
@@ -588,14 +705,15 @@ def set_stabilizer(group: PermGroup, points: Iterable[int]) -> PermGroup:
             orb = kgroup.orbit(image)
             if orb[0] < image:
                 continue  # a smaller image in the same coset was explored first
-            result = dfs(level + 1, trans[x] * partial, known, kgroup.point_stabilizer(image))
+            result = dfs(level + 1, _perm(trans[x][0]) * partial, known,
+                         kgroup.point_stabilizer(image))
             if result is not None:
                 return result
         return None
 
+    known = PermGroup((), degree)
     while True:
-        known = PermGroup(found, degree) if found else PermGroup((), degree)
         new = dfs(0, Perm.identity(degree), known, known)
         if new is None:
             return known
-        found.append(new)
+        known = known.extend(new)

@@ -83,6 +83,16 @@ class TestVerify:
         assert main(["verify", path]) == 2
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"v": "7", "blocks": [[1,2,4]]}',
+        '{"v": 7, "blocks": [[1,2.0,4]]}',
+        '{"v": 7, "blocks": "abc"}',
+        '{"v": 7, "blocks": [[true,2,4]]}',
+    ])
+    def test_ill_typed_design_is_usage_error(self, capsys, tmp_path, text):
+        assert main(["verify", write(tmp_path, "typed.json", text)]) == 2
+        assert "not a design file" in capsys.readouterr().err
+
 
 class TestIsoAndAut:
     def test_fano_aut_order(self, capsys, fano_file):
@@ -119,6 +129,24 @@ class TestDecompose:
         assert main(["decompose", design, gens, "--format", "json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["k0"] == 4 and record["k1"] == 7 and record["mu"] == 8
+
+    def test_missing_lambda0_prints_dash(self, capsys, monkeypatch, tmp_path):
+        # lambda0 is absent in the k0 = v0 - 1 >= 3 case; no catalog design
+        # has it, so the d64 decomposition stands in with lambda0 cleared
+        import dataclasses
+        from symdesign import cli
+        real = cli.decompose
+        monkeypatch.setattr(cli, "decompose", lambda *args: dataclasses.replace(
+            real(*args), lambda0=None))
+        design = str(tmp_path / "d64.json")
+        assert main(["construct", "d64-1", "--out", design]) == 0
+        gens = str(DATA / "d64_generators.txt")
+        assert main(["decompose", design, gens]) == 0
+        assert capsys.readouterr().out.strip() == \
+            "8 4 - 7 14 4 | 8 7 6 7 8 | 8"
+        assert main(["decompose", design, gens, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == \
+            "8,4,-,7,14,4,8,7,6,7,8,8"
 
     def test_primitive_group_exits_one(self, capsys, fano_file, tmp_path):
         gens = write(tmp_path, "s7.gens", S7_GENS)

@@ -66,6 +66,14 @@ class TestAutomorphismGroups:
         assert all(a.contains(g) for g in ag.group.generators)
         assert a.order() % ag.group.order() == 0
 
+    def test_wrong_hint_cannot_inflate_the_group(self):
+        s = fano()
+        hint = PermGroup([Perm.from_cycles([(0, 1)], 7)], 7)
+        a = automorphism_group(s, known=hint)
+        assert a.order() == 168
+        for g in a.generators:
+            induced_block_action(s, g)  # raises if not block-preserving
+
     def test_complement_has_same_group(self):
         s = fano()
         a1 = automorphism_group(s)

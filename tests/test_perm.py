@@ -313,3 +313,82 @@ class TestSetStabilizer:
     def test_whole_domain_is_whole_group(self):
         g = PermGroup(S4)
         assert set_stabilizer(g, range(4)).order() == 24
+
+
+def cycle_strategy(degree):
+    """One cycle on a random subset of the points, so groups vary in size."""
+    return st.tuples(st.permutations(range(degree)), st.integers(1, degree)).map(
+        lambda a: Perm.from_cycles([a[0][:a[1]]], degree))
+
+
+# 1-3 generators on at most 8 points, each a random cycle or permutation;
+# point pairs are drawn for the stabilizer checks
+groups_and_points = st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(cycle_strategy(n), perm_strategy(n)), min_size=1, max_size=3),
+    st.integers(0, n - 1), st.integers(0, n - 1)))
+
+
+def assert_matches(group, elements):
+    """group has exactly the given elements: order, chain, generators, orbits."""
+    assert group.order() == len(elements)
+    assert {p.img for p in group.iter_elements()} == elements
+    for g in group.generators:
+        assert g.img in elements
+    for x in range(group.degree):
+        assert group.orbit(x) == sorted(orbit_of_point(elements, x))
+
+
+class TestDerivedChains:
+    """Stabilizers read off a chain, and extended chains, against closure."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(groups_and_points)
+    def test_nested_point_stabilizers(self, args):
+        gens, p, q = args
+        n = gens[0].degree
+        g = PermGroup(gens, n)
+        everything = closure([h.img for h in gens])
+        for x in range(n):
+            assert_matches(g.point_stabilizer(x), {e for e in everything if e[x] == x})
+        elements = everything
+        stab = g
+        for pick in (p, q, p + q):
+            # prefer moved points: a fixed point just returns the group
+            moved = sorted({x for h in stab.generators for x in h.moved()})
+            point = moved[pick % len(moved)] if moved else pick % n
+            stab = stab.point_stabilizer(point)
+            elements = {e for e in elements if e[point] == point}
+            assert_matches(stab, elements)
+        for e in sorted(everything)[:: max(1, len(everything) // 300)]:
+            assert stab.contains(Perm(e)) == (e in elements)
+
+    @settings(deadline=None, max_examples=60)
+    @given(groups_and_points)
+    def test_extension_matches_fresh_group(self, args):
+        gens, p, _ = args
+        n = gens[0].degree
+        extra = gens[0] * gens[-1]  # already a member
+        grown = PermGroup(gens[:1], n)
+        for h in gens[1:] + [extra]:
+            grown = grown.extend(h)
+        fresh = PermGroup(gens + [extra], n)
+        elements = closure([h.img for h in gens])
+        assert grown.generators == fresh.generators
+        assert grown.order() == fresh.order()
+        assert_matches(grown, elements)
+        assert_matches(grown.point_stabilizer(p), {e for e in elements if e[p] == p})
+
+    def test_first_orbit_stabilizer_runs_no_schreier_sims(self, monkeypatch):
+        g = PermGroup(PSL27)
+        intransitive = PermGroup([cyc((0, 1, 2), degree=5), cyc((3, 4), degree=5)])
+        builds = []
+        real = PermGroup._build_chain
+        monkeypatch.setattr(PermGroup, "_build_chain",
+                            lambda self, *args: builds.append(self) or real(self, *args))
+        for point in g._trans[0]:
+            assert g.point_stabilizer(point).order() == 21
+        assert builds == []
+        # a moved point outside the first basic orbit costs one build
+        assert intransitive.base[0] == 0
+        assert intransitive.point_stabilizer(3).order() == 3
+        assert len(builds) == 1
