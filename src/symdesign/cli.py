@@ -388,10 +388,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
+    except (UsageError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:  # anything unplanned is an internal failure

@@ -164,9 +164,6 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
     found: list[RegularAction] = []
     nodes = 0
 
-    class _Budget(Exception):
-        pass
-
     def action_from(elems: set[Perm], gens: list[Perm]) -> RegularAction:
         sub = PermGroup(gens, n)
         assert sub.order() == n
@@ -189,7 +186,8 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
                 continue
             nodes += 1
             if nodes > budget:
-                raise _Budget
+                raise BudgetExhausted(
+                    "no regular subgroup found within %d closure nodes" % budget)
             new = closure(gens + [cand])
             if new is None or n % len(new):
                 continue
@@ -199,8 +197,7 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
 
     try:
         dfs([], {ident})
-    except _Budget:
+    except BudgetExhausted:
         if not found:
-            raise BudgetExhausted(
-                "no regular subgroup found within %d closure nodes" % budget)
+            raise
     return found

@@ -104,16 +104,6 @@ INNER_DESIGNS: dict[tuple[int, int], tuple[tuple[int, str], ...]] = {
               (91, "A_16, S_16")),
 }
 
-# groups acting 2-transitively on v0 points, used when k0 = 2
-PAIR_GROUPS: dict[int, str] = {
-    3: "S_3",
-    4: "A_4, S_4",
-    5: "AGL_1(5), A_5, S_5",
-    6: "A_5, S_5, A_6, S_6",
-    7: "AGL_1(7), PSL_2(7), A_7, S_7",
-    8: "AGL_1(8), AGammaL_1(8), AGL_3(2), PSL_2(7), PGL_2(7), A_8, S_8",
-}
-
 # the lambda0 = 4 family on (16, 4) admits no symmetric member even though
 # the divisibility arithmetic alone would allow mu = 16
 _NEVER_SYMMETRIC = {(16, 4, 4)}
@@ -208,10 +198,6 @@ def _make_row(v0: int, k0: int, lambda0: int, r0: int, b0: int,
                     lam, r, Fraction(b1), condition, mu_s)
 
 
-def _quotient_options(v1: int, k1: int) -> tuple[tuple[int, str], ...]:
-    return QUOTIENT_DESIGNS[(v1, k1)]
-
-
 def enumerate_k0_eq_2(vmax: int = 100) -> list[ParamRow]:
     """Families whose inner design is the complete 2-(v0,2,1) design."""
     if vmax > 100:
@@ -225,7 +211,7 @@ def enumerate_k0_eq_2(vmax: int = 100) -> list[ParamRow]:
             k1 = a * v0 // 2 + 1
             if v0 * v1 >= vmax:
                 continue
-            for lambda1, _ in _quotient_options(v1, k1):
+            for lambda1, _ in QUOTIENT_DESIGNS[(v1, k1)]:
                 rows.append(_make_row(v0, 2, 1, v0 - 1, v0 * (v0 - 1) // 2,
                                       v1, k1, lambda1))
     rows.sort(key=_sort_key)
@@ -248,7 +234,7 @@ def enumerate_k0_eq_v0_minus_1(vmax: int = 100) -> list[ParamRow]:
                 break
             v1 = ell * (v0 - 1) ** 2 + 1
             k1 = ell * v0 * (v0 - 2) + 1
-            for lambda1, _ in _quotient_options(v1, k1):
+            for lambda1, _ in QUOTIENT_DESIGNS[(v1, k1)]:
                 rows.append(_make_row(v0, v0 - 1, v0 - 2, v0 - 1, v0,
                                       v1, k1, lambda1, reduce_theta=False))
     rows.sort(key=_sort_key)
@@ -257,7 +243,8 @@ def enumerate_k0_eq_v0_minus_1(vmax: int = 100) -> list[ParamRow]:
 
 def _middle_quadruples(vmax: int) -> Iterator[tuple[int, int, int, int]]:
     """All (v0,k0,v1,k1) with 3 <= k0 <= v0-2 and an integral quotient block
-    size, split into the three coprimality/order sub-ranges."""
+    size: quotients larger than a class, then, when gcd(v0,k0) > 1, those
+    no larger than a class."""
     def k1_of(v0: int, k0: int, v1: int) -> int | None:
         num = -k0 + v0 - v0 * v1 + k0 * v0 * v1
         den = k0 * (v0 - 1)
@@ -268,25 +255,20 @@ def _middle_quadruples(vmax: int) -> Iterator[tuple[int, int, int, int]]:
 
     for v0 in range(5, vmax // 2 + 1):
         for k0 in range(3, v0 - 1):
-            # coprime, inner grain finer than the quotient
+            # quotient larger than a class
+            for v1 in range(v0 + 1, (vmax - 1) // v0 + 1):
+                k1 = k1_of(v0, k0, v1)
+                if k1 is not None:
+                    yield (v0, k0, v1, k1)
             if gcd(v0, k0) == 1:
-                for v1 in range(v0 + 1, (vmax - 1) // v0 + 1):
-                    k1 = k1_of(v0, k0, v1)
-                    if k1 is not None:
-                        yield (v0, k0, v1, k1)
-            else:
-                # common factor, quotient still larger
-                for v1 in range(v0 + 1, (vmax - 1) // v0 + 1):
-                    k1 = k1_of(v0, k0, v1)
-                    if k1 is not None:
-                        yield (v0, k0, v1, k1)
-                # common factor, quotient no larger than a class
-                for v1 in range(2, v0 + 1):
-                    if v0 * v1 >= vmax:
-                        break
-                    k1 = k1_of(v0, k0, v1)
-                    if k1 is not None:
-                        yield (v0, k0, v1, k1)
+                continue
+            # common factor, quotient no larger than a class
+            for v1 in range(2, v0 + 1):
+                if v0 * v1 >= vmax:
+                    break
+                k1 = k1_of(v0, k0, v1)
+                if k1 is not None:
+                    yield (v0, k0, v1, k1)
 
 
 def enumerate_middle_k0(vmax: int = 100) -> list[ParamRow]:
@@ -295,7 +277,7 @@ def enumerate_middle_k0(vmax: int = 100) -> list[ParamRow]:
         raise ValueError("bound above 100 not supported")
     rows = []
     for v0, k0, v1, k1 in _middle_quadruples(vmax):
-        for lambda1, _ in _quotient_options(v1, k1):
+        for lambda1, _ in QUOTIENT_DESIGNS[(v1, k1)]:
             for lambda0, _ in INNER_DESIGNS[(v0, k0)]:
                 r0 = lambda0 * (v0 - 1) // (k0 - 1)
                 assert r0 * (k0 - 1) == lambda0 * (v0 - 1)

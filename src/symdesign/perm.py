@@ -14,9 +14,19 @@ Only the public ``Perm(...)`` constructor and the parsers check that an
 image tuple is a permutation; products, inverses and the chain code build
 their results unchecked, since they are permutations by construction.
 
-A group runs Schreier–Sims once, when it is constructed.  Groups derived
-from it reuse that chain:
+Every chain is built by one Schreier–Sims path.  A group starts from an
+empty chain (just the levels of a base hint) or from a copy of a complete
+one.  Each new generator is stripped through the chain, and a residue
+other than the identity becomes a strong generator at the level where the
+strip stopped; on an empty chain that is the first base point the
+generator moves.  The levels are then completed bottom-up.  Each level
+records which of its Schreier generators are known to sift to the
+identity, so a level nothing new reached returns at once; transversals
+are only ever extended, so only the Schreier generators of new points and
+new generators are sifted again.  Groups derived from a chain reuse it:
 
+* ``extend(g)`` copies the chain and adds ``g`` this way, re-verifying only
+  the levels its residue reaches.
 * ``point_stabilizer(p)`` reads the stabilizer off the chain.  For the
   first base point it takes levels 1 and deeper as they are; for a point of
   the first basic orbit it conjugates those levels by the transversal
@@ -24,11 +34,6 @@ from it reuse that chain:
   costs one rebuild from the strong generators with ``p`` as the first base
   point, which stops as soon as the basic orbit lengths multiply up to the
   order already known.
-* ``extend(g)`` sifts ``g`` into a copy of the chain and re-verifies only
-  the levels its residue reaches.  Each level records which of its Schreier
-  generators are known to sift to the identity; transversals are only ever
-  extended, so only the Schreier generators of new points and new
-  generators are sifted again.
 
 References: Seress, *Permutation Group Algorithms* (2003), ch. 4–5; Holt,
 Eick and O'Brien, *Handbook of Computational Group Theory* (2005), §4.4.
@@ -244,27 +249,27 @@ class _OrderReached(Exception):
 class PermGroup:
     """A permutation group with a deterministic Schreier–Sims stabilizer chain.
 
-    The chain is built eagerly at construction.  Base points are the points
-    listed in ``base_hint`` (kept even where the group fixes them), then the
-    smallest point moved by each new strong generator; transversals are
-    grown breadth-first in generator order and only ever extended.
+    The chain is built at construction (see the module docstring).  Base
+    points are the points of ``_base_hint`` (kept even where the group
+    fixes them), then the smallest point moved by each new strong
+    generator; transversals are grown breadth-first in generator order and
+    only ever extended.
 
-    ``point_stabilizer`` and ``extend`` derive new groups from this chain
-    without a fresh Schreier–Sims run from the start (see the module
-    docstring).  A chain never changes after construction, so a stabilizer
-    shares its levels with the group it was read from.  The private
-    keyword-only arguments serve them: ``_order`` is the group's order,
-    known in advance, and ends the build as soon as the chain reaches it;
-    ``_chain`` is a group generated by a prefix of ``generators`` whose
-    chain is copied and extended by the rest.
+    A chain never changes after construction, so ``point_stabilizer`` and
+    ``extend`` can derive new groups from it, and a stabilizer shares its
+    levels with the group it was read from.  The private keyword-only
+    arguments serve them: ``_base_hint`` fixes the leading base points;
+    ``_order`` is the group's order, known in advance, and ends the build
+    as soon as the chain reaches it; ``_chain`` is a group generated by a
+    prefix of ``generators`` whose chain is copied and extended by the rest.
     """
 
     def __init__(
         self,
         generators: Sequence[Perm],
         degree: int | None = None,
-        base_hint: Sequence[int] = (),
         *,
+        _base_hint: Sequence[int] = (),
         _order: int | None = None,
         _chain: "PermGroup | None" = None,
     ):
@@ -288,22 +293,31 @@ class PermGroup:
             # _checked[i] = (p, n): the Schreier generators of the first p
             # points and first n generators of level i are known to sift
             self._checked: list[tuple[int, int]] = []
-            self._build_chain(base_hint, _order)
+            # hint points become the leading base points unconditionally; a
+            # point the group barely moves just yields a singleton transversal
+            for p in _base_hint:
+                if p not in self._base:
+                    self._append_level(p)
+            new = self.generators
         else:
             self._base = list(_chain._base)
             self._lvl_gens = [list(gens) for gens in _chain._lvl_gens]
             self._trans = [dict(trans) for trans in _chain._trans]
             self._checked = list(_chain._checked)
-            for g in self.generators[len(_chain.generators):]:
-                self._sift_in(g)
+            new = self.generators[len(_chain.generators):]
+        try:
+            for g in new:
+                residue, j = self._strip(g.img, 0)
+                if residue != self._ident:
+                    self._insert_generator(_perm(residue), j, 0)
+            for i in range(len(self._base) - 1, -1, -1):
+                self._verify_level(i, _order)
+        except _OrderReached:
+            # the product of the basic orbit lengths is |G|, so every basic
+            # orbit is complete and every Schreier generator sifts
+            self._checked = [(len(t), len(g)) for t, g in zip(self._trans, self._lvl_gens)]
 
     # -- chain construction ------------------------------------------------
-
-    def _new_base_point(self, g: Perm) -> int:
-        """Pick the base point a new strong generator will be anchored at."""
-        m = g.min_moved()
-        assert m is not None
-        return m
 
     def _append_level(self, point: int) -> None:
         self._base.append(point)
@@ -339,18 +353,10 @@ class PermGroup:
                 img = tuple([inv[y] for y in img])
         return img, len(base)
 
-    def _syntactic_level(self, g: Perm) -> int:
-        """Largest l with g fixing _base[:l], extending the base if g fixes all of it."""
-        for i, b in enumerate(self._base):
-            if g[b] != b:
-                return i
-        self._append_level(self._new_base_point(g))
-        return len(self._base) - 1
-
     def _insert_generator(self, g: Perm, level: int, from_level: int) -> None:
         """Record g as a generator for levels from_level..level inclusive."""
         if level == len(self._base):
-            self._append_level(self._new_base_point(g))
+            self._append_level(g.min_moved())
         for i in range(from_level, level + 1):
             self._lvl_gens[i].append(g)
 
@@ -387,35 +393,6 @@ class PermGroup:
                     self._verify_level(l, order)
         self._checked[i] = (len(points), len(imgs))
 
-    def _build_chain(self, base_hint: Sequence[int], order: int | None) -> None:
-        # hint points become the leading base points unconditionally; a point
-        # the group barely moves just yields a singleton transversal
-        for p in base_hint:
-            if not 0 <= p < self.degree:
-                raise ValueError("base hint point %d out of range" % p)
-            if p not in self._base:
-                self._append_level(p)
-        for g in self.generators:
-            level = self._syntactic_level(g)
-            for i in range(level + 1):
-                self._lvl_gens[i].append(g)
-        try:
-            for i in range(len(self._base) - 1, -1, -1):
-                self._verify_level(i, order)
-        except _OrderReached:
-            # the product of the basic orbit lengths is |G|, so every basic
-            # orbit is complete and every Schreier generator sifts
-            self._checked = [(len(t), len(g)) for t, g in zip(self._trans, self._lvl_gens)]
-
-    def _sift_in(self, g: Perm) -> None:
-        """Add one generator to a complete chain, re-verifying the levels it reaches."""
-        residue, j = self._strip(g.img, 0)
-        if residue == self._ident:
-            return
-        self._insert_generator(_perm(residue), j, 0)
-        for i in range(min(j, len(self._base) - 1), -1, -1):
-            self._verify_level(i, None)
-
     # -- derived groups ----------------------------------------------------
 
     def extend(self, g: Perm) -> "PermGroup":
@@ -437,7 +414,7 @@ class PermGroup:
         rep = self._trans[0].get(point)
         if rep is None:
             rebased = PermGroup(self.strong_generators(), self.degree,
-                                base_hint=[point, *self._base], _order=self.order())
+                                _base_hint=[point, *self._base], _order=self.order())
             return rebased._first_stabilizer(None)
         return self._first_stabilizer(None if point == self._base[0] else rep)
 
@@ -623,8 +600,11 @@ def minimal_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]
     n = group.degree
     gens = group.generators
     labelings: set[tuple[int, ...]] = set()
-    for q in range(1, n):
-        lab = _finest_system_joining(gens, n, 0, q)
+    # an h fixing 0 carries the finest system joining 0 and q onto the one
+    # joining 0 and h(q), and every system is G-invariant, so the two are
+    # equal: one q per orbit of the stabilizer of 0 will do, skipping {0}
+    for orb in group.point_stabilizer(0).orbits()[1:]:
+        lab = _finest_system_joining(gens, n, 0, orb[0])
         nclasses = len(set(lab))
         if 1 < nclasses < n:
             labelings.add(lab)
@@ -669,51 +649,3 @@ def block_system_action(group_gens: Sequence[Perm], system: Sequence[Sequence[in
             img[i] = index_of[g[cls[0]]]
         out.append(Perm(img))
     return out
-
-
-def set_stabilizer(group: PermGroup, points: Iterable[int]) -> PermGroup:
-    """The subgroup preserving a point set, by backtracking over base images.
-
-    The chain is rebased so points of the set come first; partial images are
-    pruned by set membership (base points inside the set must land inside it,
-    points outside must land outside) and by minimality in the orbits of the
-    already-found stabilizer elements.  Each search pass either produces one
-    new stabilizer element, which extends the found subgroup's chain, or
-    proves the found subgroup complete.
-    """
-    s = frozenset(points)
-    degree = group.degree
-    if any(not 0 <= x < degree for x in s):
-        raise ValueError("set contains points outside the domain")
-    if not group.generators:
-        return PermGroup((), degree)
-    chain = PermGroup(group.generators, degree, base_hint=sorted(s))
-    base = chain._base
-    in_set = [b in s for b in base]
-
-    def dfs(level: int, partial: Perm, known: PermGroup, kgroup: PermGroup) -> Perm | None:
-        if level == len(base):
-            if partial.apply_to_set(s) == s and not known.contains(partial):
-                return partial
-            return None
-        trans = chain._trans[level]
-        pimg = partial.img
-        for x in sorted(trans, key=lambda t: pimg[t]):
-            image = pimg[x]
-            if (image in s) != in_set[level]:
-                continue
-            orb = kgroup.orbit(image)
-            if orb[0] < image:
-                continue  # a smaller image in the same coset was explored first
-            result = dfs(level + 1, _perm(trans[x][0]) * partial, known,
-                         kgroup.point_stabilizer(image))
-            if result is not None:
-                return result
-        return None
-
-    known = PermGroup((), degree)
-    while True:
-        new = dfs(0, Perm.identity(degree), known, known)
-        if new is None:
-            return known
-        known = known.extend(new)

@@ -40,10 +40,6 @@ def closure_order(gens: list[tuple[int, ...]], limit: int = 200_000) -> int:
     return len(closure(gens, limit))
 
 
-def stabilizer_of_set(elements: set[tuple[int, ...]], s: frozenset[int]) -> set[tuple[int, ...]]:
-    return {p for p in elements if frozenset(p[x] for x in s) == s}
-
-
 def orbit_of_point(elements: set[tuple[int, ...]], point: int) -> set[int]:
     return {p[point] for p in elements}
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from symdesign.catalog import DATA_DIR
 from symdesign.decomp import CZDecomposition, DecompositionError, check_symmetric_consistency, decompose
 from symdesign.design import IncidenceStructure, complement, develop, verify_design
 from symdesign.geometry import build_projective_design, restricted_semilinear_group
@@ -10,7 +11,7 @@ from symdesign.perm import PermGroup, minimal_block_systems, parse_generator_fil
 
 def d64_group():
     degree, gens = parse_generator_file(
-        open("src/symdesign/data/d64_generators.txt").read())
+        (DATA_DIR / "d64_generators.txt").read_text())
     return PermGroup(gens)
 
 

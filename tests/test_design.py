@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symdesign.catalog import DATA_DIR
 from symdesign.design import (
     DesignError,
     IncidenceStructure,
@@ -60,7 +61,7 @@ class TestVerify:
 
     def test_d64_development(self):
         degree, gens = parse_generator_file(
-            open("src/symdesign/data/d64_generators.txt").read())
+            (DATA_DIR / "d64_generators.txt").read_text())
         b1 = [x - 1 for x in (9, 11, 13, 15, 17, 20, 22, 23, 25, 26, 31, 32,
                               33, 35, 38, 40, 41, 42, 43, 44, 49, 50, 53, 54,
                               57, 58, 61, 62)]

@@ -148,6 +148,12 @@ class TestFindRegularSubgroups:
         with pytest.raises(BudgetExhausted):
             find_regular_subgroups(translation_group(), limit=1, budget=0)
 
+    def test_budget_exhausted_after_a_find_returns_it(self):
+        s4 = PermGroup([Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0))], 4)
+        actions = find_regular_subgroups(s4, limit=10, budget=2)
+        assert len(actions) == 1
+        assert actions[0].group.order() == 4
+
     def test_intransitive_rejected(self):
         g = PermGroup([Perm((1, 0, 2, 3))], 4)
         with pytest.raises(ValueError):

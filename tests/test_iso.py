@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from symdesign.catalog import DATA_DIR
 from symdesign.design import IncidenceStructure, complement, develop, induced_block_action
 from symdesign.geometry import build_affine_design, build_projective_design
 from symdesign.iso import are_isomorphic, automorphism_group
@@ -19,7 +20,7 @@ def fano():
 
 def d64_pair():
     degree, gens = parse_generator_file(
-        open("src/symdesign/data/d64_generators.txt").read())
+        (DATA_DIR / "d64_generators.txt").read_text())
     b1 = [x - 1 for x in (9, 11, 13, 15, 17, 20, 22, 23, 25, 26, 31, 32, 33,
                           35, 38, 40, 41, 42, 43, 44, 49, 50, 53, 54, 57, 58,
                           61, 62)]

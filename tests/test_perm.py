@@ -1,9 +1,9 @@
-"""Tests for permutations, stabilizer chains, block systems, set stabilizers."""
+"""Tests for permutations, stabilizer chains and block systems."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symdesign.perm import (
     Perm,
@@ -15,7 +15,6 @@ from symdesign.perm import (
     parse_permutation,
     rank_and_subdegrees,
     render_generator_file,
-    set_stabilizer,
 )
 
 from oracles import (
@@ -23,12 +22,17 @@ from oracles import (
     closure,
     closure_order,
     orbit_of_point,
-    stabilizer_of_set,
 )
 
 
 def perm_strategy(degree):
     return st.permutations(range(degree)).map(Perm)
+
+
+def cycle_strategy(degree):
+    """One cycle on a random subset of the points, so groups vary in size."""
+    return st.tuples(st.permutations(range(degree)), st.integers(1, degree)).map(
+        lambda a: Perm.from_cycles([a[0][:a[1]]], degree))
 
 
 def cyc(*cycles, degree):
@@ -244,22 +248,28 @@ class TestBlockSystems:
         got = minimal_block_systems(PermGroup(WREATH))
         assert got == [((0, 1), (2, 3))]
 
-    def test_minimal_systems_against_brute_force(self):
-        for gens in (C6, D12, WREATH,
-                     [cyc((0, 1, 2, 3, 4, 5, 6, 7), degree=8)],
-                     [cyc((0, 1, 2), (3, 4, 5), degree=6), cyc((0, 3), (1, 4), (2, 5), degree=6)]):
-            g = PermGroup(gens)
-            elements = closure([p.img for p in gens])
-            all_sys = block_systems(elements, g.degree)
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 8).flatmap(lambda n: st.lists(
+        st.one_of(cycle_strategy(n), perm_strategy(n)), min_size=1, max_size=3)))
+    @example(C6)
+    @example(D12)
+    @example(WREATH)
+    @example([cyc((0, 1, 2, 3, 4, 5, 6, 7), degree=8)])
+    @example([cyc((0, 1, 2), (3, 4, 5), degree=6), cyc((0, 3), (1, 4), (2, 5), degree=6)])
+    def test_minimal_systems_against_brute_force(self, gens):
+        g = PermGroup(gens, gens[0].degree)
+        assume(g.is_transitive())
+        elements = closure([p.img for p in gens])
+        all_sys = block_systems(elements, g.degree)
 
-            def refines(a, b):
-                where = {x: i for i, cls in enumerate(b) for x in cls}
-                return all(len({where[x] for x in cls}) == 1 for cls in a)
+        def refines(a, b):
+            where = {x: i for i, cls in enumerate(b) for x in cls}
+            return all(len({where[x] for x in cls}) == 1 for cls in a)
 
-            minimal = [s for s in all_sys
-                       if not any(t != s and refines(t, s) for t in all_sys)]
-            got = minimal_block_systems(g)
-            assert sorted(got) == sorted(tuple(s) for s in minimal)
+        minimal = [s for s in all_sys
+                   if not any(t != s and refines(t, s) for t in all_sys)]
+        got = minimal_block_systems(g)
+        assert sorted(got) == sorted(tuple(s) for s in minimal)
 
     def test_block_system_action_is_homomorphism(self):
         g = PermGroup(D12)
@@ -273,52 +283,6 @@ class TestBlockSystems:
                 where = {x: i for i, cls in enumerate(system) for x in cls}
                 induced = Perm(tuple(where[prod[cls[0]]] for cls in system))
                 assert induced == lookup[a] * lookup[b]
-
-
-class TestSetStabilizer:
-    def brute(self, gens, s):
-        elements = closure([p.img for p in gens])
-        return len(stabilizer_of_set(elements, frozenset(s)))
-
-    def test_s5_all_small_subsets(self):
-        s5 = [cyc((0, 1), degree=5), cyc((0, 1, 2, 3, 4), degree=5)]
-        g = PermGroup(s5)
-        for size in (1, 2, 3):
-            for s in itertools.combinations(range(5), size):
-                assert set_stabilizer(g, s).order() == self.brute(s5, s)
-
-    def test_dihedral_subsets(self):
-        g = PermGroup(D12)
-        for s in [(0, 6), (0, 3, 6, 9), (0, 1, 2), (1, 5, 7, 11), (0, 2, 4, 6, 8, 10)]:
-            assert set_stabilizer(g, s).order() == self.brute(D12, s)
-
-    def test_stabilizer_elements_fix_the_set(self):
-        g = PermGroup(PSL27)
-        s = {0, 1, 2, 3}
-        k = set_stabilizer(g, s)
-        assert k.order() == self.brute(PSL27, s)
-        for p in k.generators:
-            assert p.apply_to_set(s) == frozenset(s)
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(4, 6).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.permutations(range(n)), min_size=1, max_size=2),
-            st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
-    def test_random_groups_random_sets(self, args):
-        imgs, s = args
-        g = PermGroup([Perm(t) for t in imgs], degree=len(imgs[0]))
-        assert set_stabilizer(g, s).order() == self.brute([Perm(t) for t in imgs], s)
-
-    def test_whole_domain_is_whole_group(self):
-        g = PermGroup(S4)
-        assert set_stabilizer(g, range(4)).order() == 24
-
-
-def cycle_strategy(degree):
-    """One cycle on a random subset of the points, so groups vary in size."""
-    return st.tuples(st.permutations(range(degree)), st.integers(1, degree)).map(
-        lambda a: Perm.from_cycles([a[0][:a[1]]], degree))
 
 
 # 1-3 generators on at most 8 points, each a random cycle or permutation;
@@ -382,9 +346,9 @@ class TestDerivedChains:
         g = PermGroup(PSL27)
         intransitive = PermGroup([cyc((0, 1, 2), degree=5), cyc((3, 4), degree=5)])
         builds = []
-        real = PermGroup._build_chain
-        monkeypatch.setattr(PermGroup, "_build_chain",
-                            lambda self, *args: builds.append(self) or real(self, *args))
+        real = PermGroup.__init__
+        monkeypatch.setattr(PermGroup, "__init__", lambda self, *args, **kwargs:
+                            builds.append(self) or real(self, *args, **kwargs))
         for point in g._trans[0]:
             assert g.point_stabilizer(point).order() == 21
         assert builds == []
