@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .perm import Perm, PermGroup, minimal_block_systems
+from .perm import MAX_POINTS, Perm, PermGroup, minimal_block_systems
 
 
 class DesignError(ValueError):
@@ -190,12 +190,26 @@ def induced_block_action(s: IncidenceStructure, p: Perm) -> Perm:
     return Perm(img)
 
 
-def is_automorphism(s: IncidenceStructure, p: Perm) -> bool:
-    try:
-        induced_block_action(s, p)
-    except DesignError:
-        return False
+def carries_blocks(img: Sequence[int], blocks: Sequence[tuple[int, ...]],
+                   onto: Sequence[tuple[int, ...]]) -> bool:
+    """Does the point map img carry the block multiset blocks onto onto's?
+
+    Blocks are sorted point tuples, as IncidenceStructure holds them.
+    """
+    remaining = Counter(onto)
+    for blk in blocks:
+        key = tuple(sorted([img[x] for x in blk]))
+        left = remaining[key]
+        if not left:
+            return False
+        remaining[key] = left - 1
     return True
+
+
+def is_automorphism(s: IncidenceStructure, p: Perm) -> bool:
+    if p.degree != s.v:
+        raise ValueError("permutation degree %d does not match v=%d" % (p.degree, s.v))
+    return carries_blocks(p.img, s.blocks, s.blocks)
 
 
 def is_flag_transitive(s: IncidenceStructure, g: PermGroup) -> bool:
@@ -250,6 +264,8 @@ def design_from_json(text: str) -> IncidenceStructure:
     # bool is a subclass of int, but JSON true/false are not point numbers
     if type(v) is not int:
         raise ValueError("'v' must be an integer, got %r" % (v,))
+    if v > MAX_POINTS:
+        raise ValueError("v=%d above the supported %d points" % (v, MAX_POINTS))
     if not isinstance(blocks, list) or not all(
             isinstance(blk, list) and all(type(x) is int for x in blk) for blk in blocks):
         raise ValueError("'blocks' must be a list of lists of integers")

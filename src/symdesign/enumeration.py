@@ -3,10 +3,12 @@
 Given an invariant partition into v1 classes of size v0, the inner design on
 a class has parameters (v0, k0, lambda0) and the quotient has (v1, k1,
 lambda1); the global parameters are then rational multiples of the constant
-mu (the number of blocks sharing a footprint).  The enumerators below list
-every family with v = v0*v1 below a bound, split by the shape of k0, and
-symmetric_filter keeps the families reaching b = v at the symmetric value
-mu_s = v/b1.
+mu (the number of blocks sharing a footprint).  all_rows lists every family
+with v = v0*v1 below a bound in one loop over (v0, k0, v1), taking k1 from
+the index relation (v1-1)*v0*(k0-1) = (k1-1)*k0*(v0-1); the shape of k0
+(2, v0 - 1 or in between) only orders the rows and splits the published
+tables.  symmetric_filter keeps the families reaching b = v at the
+symmetric value mu_s = v/b1.
 
 Which lambda1 (and lambda0) values actually occur on a given point count is
 classification data, not arithmetic; those options are carried by the static
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 # lambda1 options per quotient parameter pair (v1, k1), with the groups
 # acting flag-transitively on a 2-(v1, k1, lambda1) design.
@@ -163,9 +165,24 @@ def _sort_key(row: ParamRow) -> tuple[int, int, int, int, int]:
     return (row.v0, row.k0, row.v1, row.lambda1, row.lambda0)
 
 
-def _make_row(v0: int, k0: int, lambda0: int, r0: int, b0: int,
-              v1: int, k1: int, lambda1: int,
-              reduce_theta: bool = True) -> ParamRow:
+def _complete_inner(v0: int, k0: int) -> bool:
+    """Whether the inner design is the complete one on k0 = v0 - 1 >= 3 points."""
+    return k0 == v0 - 1 and k0 >= 3
+
+
+def _shape(row: ParamRow) -> int:
+    """0 for k0 = 2, 1 for a complete inner design on k0 = v0 - 1 >= 3, else 2."""
+    if row.k0 == 2:
+        return 0
+    return 1 if _complete_inner(row.v0, row.k0) else 2
+
+
+def _make_row(v0: int, k0: int, lambda0: int,
+              v1: int, k1: int, lambda1: int) -> ParamRow:
+    r0 = lambda0 * (v0 - 1) // (k0 - 1)
+    assert r0 * (k0 - 1) == lambda0 * (v0 - 1)
+    b0 = v0 * r0 // k0
+    assert b0 * k0 == v0 * r0
     num = lambda1 * (v1 - 1)
     if num % (k1 - 1):
         raise ValueError("lambda1=%d gives a non-integral r1" % lambda1)
@@ -182,7 +199,7 @@ def _make_row(v0: int, k0: int, lambda0: int, r0: int, b0: int,
     lam = Fraction(lambda1 * k0 * k0, v0 * v0)
     r = Fraction(r1 * k0, v0)
     theta_num, theta_den = lam.numerator, lam.denominator * lambda0
-    if reduce_theta:
+    if not _complete_inner(v0, k0):
         g = gcd(theta_num, theta_den)
         theta_num, theta_den = theta_num // g, theta_den // g
     condition = lcm(lam.denominator, r.denominator, theta_den)
@@ -198,99 +215,51 @@ def _make_row(v0: int, k0: int, lambda0: int, r0: int, b0: int,
                     lam, r, Fraction(b1), condition, mu_s)
 
 
-def enumerate_k0_eq_2(vmax: int = 100) -> list[ParamRow]:
-    """Families whose inner design is the complete 2-(v0,2,1) design."""
+def all_rows(vmax: int = 100) -> list[ParamRow]:
+    """Every admissible family with v < vmax, ordered by shape, then _sort_key."""
     if vmax > 100:
         raise ValueError("bound above 100 not supported")
     rows = []
-    for v0 in range(3, 10):
-        for a in range(1, 17):
-            if (a * v0) % 2:
-                continue
-            v1 = a * (v0 - 1) + 1
-            k1 = a * v0 // 2 + 1
-            if v0 * v1 >= vmax:
-                continue
-            for lambda1, _ in QUOTIENT_DESIGNS[(v1, k1)]:
-                rows.append(_make_row(v0, 2, 1, v0 - 1, v0 * (v0 - 1) // 2,
-                                      v1, k1, lambda1))
-    rows.sort(key=_sort_key)
+    for v0 in range(3, (vmax - 1) // 2 + 1):
+        for k0 in range(2, v0):
+            for v1 in range(2, (vmax - 1) // v0 + 1):
+                # a quotient no larger than a class needs a common factor of
+                # v0 and k0.  The shapes with a complete inner design satisfy
+                # this by arithmetic alone: an integral k1 forces (v0-1) | (v1-1)
+                # for k0 = 2 and (v0-1)^2 | (v1-1) for k0 = v0-1, so v1 >= v0,
+                # and v1 = v0 only for k0 = 2 with v0 even, where gcd = 2
+                if v1 <= v0 and gcd(v0, k0) == 1:
+                    continue
+                k1, rem = divmod((v1 - 1) * v0 * (k0 - 1), k0 * (v0 - 1))
+                k1 += 1
+                if rem or not 2 <= k1 <= v1 - 1:
+                    continue
+                if k0 == 2:
+                    lambda0s = [1]
+                elif _complete_inner(v0, k0):
+                    lambda0s = [v0 - 2]
+                else:
+                    lambda0s = [lam for lam, _ in INNER_DESIGNS[(v0, k0)]]
+                for lambda1, _ in QUOTIENT_DESIGNS[(v1, k1)]:
+                    for lambda0 in lambda0s:
+                        rows.append(_make_row(v0, k0, lambda0, v1, k1, lambda1))
+    rows.sort(key=lambda row: (_shape(row), _sort_key(row)))
     return rows
+
+
+def enumerate_k0_eq_2(vmax: int = 100) -> list[ParamRow]:
+    """Families whose inner design is the complete 2-(v0,2,1) design."""
+    return [row for row in all_rows(vmax) if _shape(row) == 0]
 
 
 def enumerate_k0_eq_v0_minus_1(vmax: int = 100) -> list[ParamRow]:
-    """Families whose inner design is the complete 2-(v0,v0-1,v0-2) design.
-
-    Here v = l*v0*(v0-1)^2 + v0 and k = l*v0*(v0-1)*(v0-2) + v0 - 1 for
-    l >= 1, which caps the search immediately.
-    """
-    if vmax > 100:
-        raise ValueError("bound above 100 not supported")
-    rows = []
-    for v0 in range(4, 10):
-        for ell in range(1, vmax):
-            v = ell * v0 * (v0 - 1) ** 2 + v0
-            if v >= vmax:
-                break
-            v1 = ell * (v0 - 1) ** 2 + 1
-            k1 = ell * v0 * (v0 - 2) + 1
-            for lambda1, _ in QUOTIENT_DESIGNS[(v1, k1)]:
-                rows.append(_make_row(v0, v0 - 1, v0 - 2, v0 - 1, v0,
-                                      v1, k1, lambda1, reduce_theta=False))
-    rows.sort(key=_sort_key)
-    return rows
-
-
-def _middle_quadruples(vmax: int) -> Iterator[tuple[int, int, int, int]]:
-    """All (v0,k0,v1,k1) with 3 <= k0 <= v0-2 and an integral quotient block
-    size: quotients larger than a class, then, when gcd(v0,k0) > 1, those
-    no larger than a class."""
-    def k1_of(v0: int, k0: int, v1: int) -> int | None:
-        num = -k0 + v0 - v0 * v1 + k0 * v0 * v1
-        den = k0 * (v0 - 1)
-        if num % den:
-            return None
-        k1 = num // den
-        return k1 if 2 <= k1 <= v1 - 1 else None
-
-    for v0 in range(5, vmax // 2 + 1):
-        for k0 in range(3, v0 - 1):
-            # quotient larger than a class
-            for v1 in range(v0 + 1, (vmax - 1) // v0 + 1):
-                k1 = k1_of(v0, k0, v1)
-                if k1 is not None:
-                    yield (v0, k0, v1, k1)
-            if gcd(v0, k0) == 1:
-                continue
-            # common factor, quotient no larger than a class
-            for v1 in range(2, v0 + 1):
-                if v0 * v1 >= vmax:
-                    break
-                k1 = k1_of(v0, k0, v1)
-                if k1 is not None:
-                    yield (v0, k0, v1, k1)
+    """Families whose inner design is the complete 2-(v0,v0-1,v0-2) design."""
+    return [row for row in all_rows(vmax) if _shape(row) == 1]
 
 
 def enumerate_middle_k0(vmax: int = 100) -> list[ParamRow]:
     """Families with 3 <= k0 <= v0-2, one row per (lambda0, lambda1) option."""
-    if vmax > 100:
-        raise ValueError("bound above 100 not supported")
-    rows = []
-    for v0, k0, v1, k1 in _middle_quadruples(vmax):
-        for lambda1, _ in QUOTIENT_DESIGNS[(v1, k1)]:
-            for lambda0, _ in INNER_DESIGNS[(v0, k0)]:
-                r0 = lambda0 * (v0 - 1) // (k0 - 1)
-                assert r0 * (k0 - 1) == lambda0 * (v0 - 1)
-                b0 = v0 * r0 // k0
-                assert b0 * k0 == v0 * r0
-                rows.append(_make_row(v0, k0, lambda0, r0, b0, v1, k1, lambda1))
-    rows.sort(key=_sort_key)
-    return rows
-
-
-def all_rows(vmax: int = 100) -> list[ParamRow]:
-    return (enumerate_k0_eq_2(vmax) + enumerate_k0_eq_v0_minus_1(vmax)
-            + enumerate_middle_k0(vmax))
+    return [row for row in all_rows(vmax) if _shape(row) == 2]
 
 
 def symmetric_filter(rows: list[ParamRow]) -> list[ParamRow]:
@@ -304,7 +273,7 @@ def symmetric_filter(rows: list[ParamRow]) -> list[ParamRow]:
     for row in rows:
         if row.mu_s is None:
             continue
-        if row.k0 == row.v0 - 1 and row.k0 >= 3:
+        if _complete_inner(row.v0, row.k0):
             continue
         assert row.b_at(row.mu_s) == row.v
         assert row.r_at(row.mu_s) == row.k
@@ -362,13 +331,13 @@ def table_rows(vmax: int = 100) -> dict[str, list[ParamRow]]:
     The (16,4) families form their own table; the complete-inner rows are
     appended to the k0 = 2 table, matching the published layout.
     """
-    middle = enumerate_middle_k0(vmax)
+    rows = all_rows(vmax)
+    middle = [r for r in rows if _shape(r) == 2]
     return {
-        "table2": sorted(enumerate_k0_eq_2(vmax)
-                         + enumerate_k0_eq_v0_minus_1(vmax), key=_sort_key),
+        "table2": sorted((r for r in rows if _shape(r) < 2), key=_sort_key),
         "table3": [r for r in middle if (r.v0, r.k0) != (16, 4)],
         "table4": [r for r in middle if (r.v0, r.k0) == (16, 4)],
-        "table5": symmetric_filter(all_rows(vmax)),
+        "table5": symmetric_filter(rows),
     }
 
 

@@ -16,22 +16,20 @@ certificates are produced.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from collections.abc import Sequence
+from collections import deque
 
-from .design import IncidenceStructure
-from .perm import Perm, PermGroup
+from .design import IncidenceStructure, carries_blocks
+from .perm import MAX_POINTS, Perm, PermGroup
 
 
 class _Graph:
     """Bipartite incidence graph with bitset adjacency."""
 
-    __slots__ = ("v", "b", "n", "adj", "block_counter")
+    __slots__ = ("v", "n", "adj")
 
     def __init__(self, s: IncidenceStructure):
         v, b = s.v, s.b
         self.v = v
-        self.b = b
         self.n = v + b
         adj = [0] * (v + b)
         for j, blk in enumerate(s.blocks):
@@ -41,7 +39,6 @@ class _Graph:
                 adj[x] |= 1 << (v + j)
             adj[v + j] = mask
         self.adj = adj
-        self.block_counter = Counter(s.blocks)
 
 
 def _mask(cell: tuple[int, ...]) -> int:
@@ -124,25 +121,6 @@ class _ReferencePath:
         self.leaf_points = [c[0] for c in cells if c[0] < g.v]
 
 
-def _map_blocks_ok(src: _Graph, dst: _Graph, img: Sequence[int]) -> bool:
-    """Does the point map img carry src's block multiset onto dst's?"""
-    remaining = dict(dst.block_counter)
-    for j in range(src.b):
-        blk = src.adj[src.v + j]
-        mapped = []
-        x = blk
-        while x:
-            low = x & -x
-            mapped.append(img[low.bit_length() - 1])
-            x ^= low
-        key = tuple(sorted(mapped))
-        left = remaining.get(key, 0)
-        if not left:
-            return False
-        remaining[key] = left - 1
-    return True
-
-
 def _leaf_permutation(ref: _ReferencePath, cells: list[tuple[int, ...]],
                       dst: _Graph) -> list[int]:
     leaf_points = [c[0] for c in cells if c[0] < dst.v]
@@ -197,22 +175,22 @@ def automorphism_group(s: IncidenceStructure,
     cost speed but cannot put a non-automorphism into the result.  Each
     generator the search finds extends the chain of the group found so far.
     """
-    if s.v > 100:
-        raise ValueError("supported up to 100 points, got v=%d" % s.v)
+    if s.v > MAX_POINTS:
+        raise ValueError("supported up to %d points, got v=%d" % (MAX_POINTS, s.v))
     g = _Graph(s)
     ref = _ReferencePath(g)
     gens: list[Perm] = []
     if known is not None:
         if known.degree != s.v:
             raise ValueError("known subgroup degree mismatch")
-        gens = [p for p in known.generators if _map_blocks_ok(g, g, p.img)]
+        gens = [p for p in known.generators if carries_blocks(p.img, s.blocks, s.blocks)]
     kgroup = PermGroup(gens, s.v)
     while True:
         def accept(img: list[int]) -> Perm | None:
             p = Perm(img)
             if kgroup.contains(p):
                 return None
-            if _map_blocks_ok(g, g, img):
+            if carries_blocks(img, s.blocks, s.blocks):
                 return p
             return None
 
@@ -242,7 +220,7 @@ def are_isomorphic(s1: IncidenceStructure,
     aut2 = automorphism_group(s2)
 
     def accept(img: list[int]) -> Perm | None:
-        if _map_blocks_ok(g1, g2, img):
+        if carries_blocks(img, s1.blocks, s2.blocks):
             return Perm(img)
         return None
 

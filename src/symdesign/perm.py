@@ -41,8 +41,12 @@ Eick and O'Brien, *Handbook of Computational Group Theory* (2005), §4.4.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
+
+# the package's scope: designs and groups on at most this many points
+MAX_POINTS = 100
 
 
 class Perm:
@@ -229,6 +233,9 @@ def parse_generator_file(text: str) -> tuple[int, list[Perm]]:
             degree = int(parts[1])
             if degree <= 0:
                 raise ValueError("line %d: degree must be positive" % lineno)
+            if degree > MAX_POINTS:
+                raise ValueError("line %d: degree %d above the supported %d points"
+                                 % (lineno, degree, MAX_POINTS))
             continue
         gens.append(parse_permutation(line, degree))
     if degree is None:
@@ -484,24 +491,40 @@ class PermGroup:
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
 
+    @functools.cached_property
+    def _orbit_partition(self) -> tuple[list[list[int]], list[int]]:
+        """The orbits, each sorted and ordered by smallest point, and the
+        index of each point's orbit; computed once, on first use."""
+        imgs = [g.img for g in self.generators]
+        index = [-1] * self.degree
+        orbits: list[list[int]] = []
+        for p in range(self.degree):
+            if index[p] >= 0:
+                continue
+            index[p] = len(orbits)
+            orb = [p]
+            for x in orb:  # grows while it is read: breadth-first
+                for img in imgs:
+                    y = img[x]
+                    if index[y] < 0:
+                        index[y] = len(orbits)
+                        orb.append(y)
+            orbits.append(sorted(orb))
+        return orbits, index
+
     def orbit(self, point: int) -> list[int]:
-        return orbit(self.generators, point, self.degree)
+        """The orbit of a point, sorted ascending."""
+        if not 0 <= point < self.degree:
+            raise ValueError("point %d out of range 0..%d" % (point, self.degree - 1))
+        orbits, index = self._orbit_partition
+        return list(orbits[index[point]])
 
     def orbits(self) -> list[list[int]]:
         """All orbits on {0..degree-1}, including fixed points, each sorted."""
-        seen = [False] * self.degree
-        out = []
-        for p in range(self.degree):
-            if seen[p]:
-                continue
-            orb = self.orbit(p)
-            for x in orb:
-                seen[x] = True
-            out.append(orb)
-        return out
+        return [list(orb) for orb in self._orbit_partition[0]]
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree if self.degree else True
+        return len(self._orbit_partition[0]) <= 1
 
     def is_regular(self) -> bool:
         return self.is_transitive() and self.order() == self.degree
@@ -526,24 +549,6 @@ class PermGroup:
             self.order(),
             len(self.generators),
         )
-
-
-def orbit(gens: Sequence[Perm], point: int, degree: int | None = None) -> list[int]:
-    """The orbit of a point under a generator list, sorted ascending."""
-    if degree is None:
-        degree = max((g.degree for g in gens), default=point + 1)
-    if not 0 <= point < degree:
-        raise ValueError("point %d out of range 0..%d" % (point, degree - 1))
-    imgs = [g.img for g in gens]
-    seen = {point}
-    queue = [point]
-    for x in queue:  # grows while it is read: breadth-first
-        for img in imgs:
-            y = img[x] if x < len(img) else x
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return sorted(seen)
 
 
 def rank_and_subdegrees(group: PermGroup) -> tuple[int, tuple[int, ...]]:

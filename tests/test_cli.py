@@ -88,6 +88,7 @@ class TestVerify:
         '{"v": 7, "blocks": [[1,2.0,4]]}',
         '{"v": 7, "blocks": "abc"}',
         '{"v": 7, "blocks": [[true,2,4]]}',
+        '{"v": 101, "blocks": [[%s]]}' % ",".join(str(x) for x in range(1, 102)),
     ])
     def test_ill_typed_design_is_usage_error(self, capsys, tmp_path, text):
         assert main(["verify", write(tmp_path, "typed.json", text)]) == 2
@@ -244,6 +245,12 @@ class TestDiffset:
     def test_regular_on_intransitive_group(self, capsys, tmp_path):
         gens = write(tmp_path, "fix.gens", "degree 4\n(1,2)\n")
         assert main(["diffset", "regular", gens]) == 2
+
+    def test_generator_file_above_scope_is_usage_error(self, capsys, tmp_path):
+        cycle = "(%s)" % ",".join(str(x) for x in range(1, 102))
+        gens = write(tmp_path, "c101.gens", "degree 101\n%s\n" % cycle)
+        assert main(["diffset", "regular", gens]) == 2
+        assert "not a generator file" in capsys.readouterr().err
 
     def test_regular_budget_exhaustion(self, capsys, tmp_path):
         gens = write(tmp_path, "cube.gens", C2CUBE_GENS)

@@ -193,11 +193,9 @@ class TestSymmetricFilter:
 
 
 class TestBounds:
-    def test_vmax_restricts_output(self):
-        small = all_rows(vmax=50)
-        assert small and all(r.v < 50 for r in small)
-        full = {as_fixture_tuple(r) for r in all_rows()}
-        assert {as_fixture_tuple(r) for r in small} <= full
+    @pytest.mark.parametrize("vmax", range(101))
+    def test_vmax_restricts_output(self, vmax):
+        assert all_rows(vmax) == [r for r in all_rows(100) if r.v < vmax]
 
     def test_vmax_above_support_rejected(self):
         with pytest.raises(ValueError):

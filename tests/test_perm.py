@@ -10,7 +10,6 @@ from symdesign.perm import (
     PermGroup,
     block_system_action,
     minimal_block_systems,
-    orbit,
     parse_generator_file,
     parse_permutation,
     rank_and_subdegrees,
@@ -141,6 +140,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_generator_file("(1,2)\n")
 
+    def test_generator_file_degree_above_scope(self):
+        assert parse_generator_file("degree 100\n(1,2)\n")[0] == 100
+        with pytest.raises(ValueError):
+            parse_generator_file("degree 101\n(1,2)\n")
+
 
 class TestChainOrders:
     """Group orders from the chain against exhaustive closure."""
@@ -190,8 +194,10 @@ class TestChainOrders:
 
 class TestOrbitsAndStabilizers:
     def test_orbit_sorted(self):
-        assert orbit(C6, 2, 6) == [0, 1, 2, 3, 4, 5]
-        assert orbit([cyc((0, 1), degree=4)], 3, 4) == [3]
+        assert PermGroup(C6).orbit(2) == [0, 1, 2, 3, 4, 5]
+        assert PermGroup([cyc((0, 1), degree=4)]).orbit(3) == [3]
+        with pytest.raises(ValueError):
+            PermGroup(C6).orbit(6)
 
     def test_point_stabilizer_small(self):
         g = PermGroup(S4)
