@@ -258,10 +258,10 @@ def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
     Searches every group of order 16; each class is returned with its full
     automorphism group, largest group first.
     """
-    reps: list[IncidenceStructure] = []
+    classes: list[tuple[IncidenceStructure, PermGroup]] = []
+    seen_blocks = set()
     for label, group in order16_groups():
         action = RegularAction.from_group(group)
-        seen_blocks = set()
         for d in _difference_sets_16_6_2(action):
             ok, report = is_difference_set(action, d, 2)
             assert ok, (label, d, report)
@@ -270,9 +270,8 @@ def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
             if key in seen_blocks:
                 continue
             seen_blocks.add(key)
-            if all(are_isomorphic(dev, r) is None for r in reps):
-                reps.append(dev)
-    classes = [(dev, automorphism_group(dev)) for dev in reps]
+            if all(are_isomorphic(dev, rep, aut) is None for rep, aut in classes):
+                classes.append((dev, automorphism_group(dev)))
     classes.sort(key=lambda pair: -pair[1].order())
     return tuple(classes)
 

@@ -15,7 +15,6 @@ are filtered to that shape before any closure is computed.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
 from .design import IncidenceStructure
@@ -69,21 +68,17 @@ def is_difference_set(action: RegularAction, d: Iterable[int],
     points = sorted(set(d))
     if any(p not in action.element_of for p in points):
         raise ValueError("subset contains points outside the action")
-    els = [action.element_of[p] for p in points]
-    inverses = [g.inv() for g in els]
-    counts: Counter[Perm] = Counter()
-    for i, gi in enumerate(els):
-        for j, gj_inv in enumerate(inverses):
-            if i != j:
-                counts[gi * gj_inv] += 1
-    report = []
-    for h in action.element_of.values():
-        if h.is_identity():
-            continue
-        c = counts.get(h, 0)
-        if c != lam:
-            report.append((h, c))
-    report.sort(key=lambda pair: pair[0][action.base])
+    # In a regular action the quotient d_p * d_q^{-1} is the one element
+    # that sends the base point to d_q^{-1}(p), so counting those points
+    # counts quotients.  The pairs p == q land on the base point, which is
+    # not reported.
+    counts = [0] * action.degree
+    for q in points:
+        inv = action.element_of[q].inv().img
+        for p in points:
+            counts[inv[p]] += 1
+    report = [(action.element_of[x], counts[x]) for x in range(action.degree)
+              if x != action.base and counts[x] != lam]
     return (not report, report)
 
 
@@ -120,6 +115,8 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
     subgroup closures computed.  An empty result means none exist; running
     out of budget before anything is found raises BudgetExhausted.
     """
+    if limit < 1:
+        raise ValueError("limit must be positive")
     n = group.degree
     if not group.is_transitive():
         raise ValueError("regular subgroups require a transitive overgroup")

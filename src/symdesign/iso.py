@@ -98,14 +98,21 @@ def _target_cell(cells: list[tuple[int, ...]], v: int) -> int | None:
     return best
 
 
+def _root(g: _Graph) -> tuple[list[tuple[int, ...]], tuple]:
+    """The point/block coloring refined to equitability, and its trace.
+
+    A structure without blocks has no block cell: every cell is non-empty.
+    """
+    cells = [c for c in (tuple(range(g.v)), tuple(range(g.v, g.n))) if c]
+    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]))
+
+
 class _ReferencePath:
     """The leftmost individualization path of a graph, computed once."""
 
     def __init__(self, g: _Graph):
         self.graph = g
-        cells = [tuple(range(g.v)), tuple(range(g.v, g.n))]
-        splitters = deque([_mask(c) for c in cells])
-        self.root_trace = _refine(g.adj, cells, splitters)
+        cells, self.root_trace = _root(g)
         self.targets: list[int] = []
         self.traces: list[tuple] = []
         while True:
@@ -160,8 +167,8 @@ def _search(ref: _ReferencePath, dst: _Graph, known: PermGroup,
                 return result
         return None
 
-    cells = [tuple(range(g.v)), tuple(range(g.v, g.n))]
-    if _refine(g.adj, cells, deque([_mask(c) for c in cells])) != ref.root_trace:
+    cells, trace = _root(g)
+    if trace != ref.root_trace:
         return None
     return walk(0, cells, known)
 
@@ -200,24 +207,31 @@ def automorphism_group(s: IncidenceStructure,
         kgroup = kgroup.extend(new)
 
 
-def are_isomorphic(s1: IncidenceStructure,
-                   s2: IncidenceStructure) -> Perm | None:
+def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
+                   aut2: PermGroup | None = None) -> Perm | None:
     """A point bijection carrying s1's blocks onto s2's, or None.
 
     Exhaustive over the pruned refinement tree, so None is a proof.  The
-    target's automorphism group is computed first and used to skip
-    equivalent branches.
+    search skips branches equivalent under aut2, the target's automorphism
+    group, computed here unless the caller passes it.  A passed aut2 must
+    act on s2's points and each of its generators must carry s2's blocks
+    onto themselves (else ValueError), so it is a subgroup of Aut(s2).
+    Any such subgroup prunes soundly, since it maps an isomorphism through
+    one branch to one through the other; a smaller group only prunes less.
     """
+    if aut2 is not None and (aut2.degree != s2.v or not all(
+            carries_blocks(p.img, s2.blocks, s2.blocks) for p in aut2.generators)):
+        raise ValueError("aut2 is not a group of automorphisms of s2")
     if s1.v != s2.v or s1.b != s2.b:
         return None
     if sorted(len(b) for b in s1.blocks) != sorted(len(b) for b in s2.blocks):
         return None
     g1, g2 = _Graph(s1), _Graph(s2)
     ref = _ReferencePath(g1)
-    cells2 = [tuple(range(g2.v)), tuple(range(g2.v, g2.n))]
-    if _refine(g2.adj, cells2, deque([_mask(c) for c in cells2])) != ref.root_trace:
+    if _root(g2)[1] != ref.root_trace:
         return None
-    aut2 = automorphism_group(s2)
+    if aut2 is None:
+        aut2 = automorphism_group(s2)
 
     def accept(img: list[int]) -> Perm | None:
         if carries_blocks(img, s1.blocks, s2.blocks):

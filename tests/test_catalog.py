@@ -132,6 +132,21 @@ class TestBiplaneSearch:
             for j in range(i + 1, 3):
                 assert are_isomorphic(designs[i], designs[j]) is None
 
+    def test_each_class_group_is_computed_once(self, monkeypatch):
+        from symdesign import iso
+        calls = []
+
+        def counted(s, known=None):
+            calls.append(s)
+            return real(s, known)
+
+        real = iso.automorphism_group
+        monkeypatch.setattr(iso, "automorphism_group", counted)
+        monkeypatch.setattr(catalog, "automorphism_group", counted)
+        classes = biplane_classes.__wrapped__()
+        assert len(calls) == 3
+        assert [aut.order() for _, aut in classes] == [11520, 768, 384]
+
     def test_exactly_two_classes_are_flag_transitive(self):
         from symdesign.design import is_flag_transitive
         flags = [is_flag_transitive(dev, aut) for dev, aut in biplane_classes()]

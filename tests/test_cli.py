@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symdesign.cli import main
 
@@ -117,6 +119,12 @@ class TestIsoAndAut:
                      "--format", "json"]) == 1
         record = json.loads(capsys.readouterr().out)
         assert record == {"isomorphic": False, "mapping": None}
+
+    def test_blockless_structure(self, capsys, tmp_path):
+        empty = write(tmp_path, "empty.json", '{"v": 5, "blocks": []}')
+        assert main(["aut", empty]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "order 120"
+        assert main(["iso", empty, empty]) == 0
 
 
 class TestDecompose:
@@ -242,6 +250,11 @@ class TestDiffset:
         assert main(["diffset", "regular", gens, "--limit", "1"]) == 0
         assert "order 8" in capsys.readouterr().out
 
+    def test_regular_limit_must_be_positive(self, capsys, tmp_path):
+        gens = write(tmp_path, "c7.gens", C7_GENS)
+        assert main(["diffset", "regular", gens, "--limit", "0"]) == 2
+        assert "limit must be positive" in capsys.readouterr().err
+
     def test_regular_on_intransitive_group(self, capsys, tmp_path):
         gens = write(tmp_path, "fix.gens", "degree 4\n(1,2)\n")
         assert main(["diffset", "regular", gens]) == 2
@@ -286,3 +299,62 @@ class TestPipelines:
             capture_output=True, text=True)
         assert result.returncode == 1
         assert "non-isomorphic" in result.stdout
+
+
+# Malformed input: 0, negative, out-of-range and repeated points, empty blocks
+# and blockless designs, bad degrees.  Half the draws stay in range, so the
+# searches behind aut, iso, decompose and regular run too.
+WILD_POINTS = st.integers(min_value=-2, max_value=10)
+
+
+@st.composite
+def design_texts(draw):
+    v = draw(st.integers(min_value=-1, max_value=8))
+    if v >= 1 and draw(st.booleans()):
+        block = st.lists(st.integers(1, v), min_size=1, max_size=v, unique=True)
+    else:
+        block = st.lists(WILD_POINTS, max_size=9)
+    return json.dumps({"v": v, "blocks": draw(st.lists(block, max_size=6))})
+
+
+@st.composite
+def generator_texts(draw):
+    degree = draw(st.integers(min_value=-1, max_value=8))
+    if degree >= 1 and draw(st.booleans()):
+        cycle = st.lists(st.integers(1, degree), max_size=degree, unique=True)
+        # sometimes the regular cyclic group, so diffset check and develop run
+        regular = st.just([[list(range(1, degree + 1))]])
+        gens = draw(regular | st.lists(st.lists(cycle, max_size=3), max_size=3))
+    else:
+        cycle = st.lists(WILD_POINTS, max_size=5)
+        gens = draw(st.lists(st.lists(cycle, max_size=3), max_size=3))
+    lines = ["degree %d" % degree]
+    lines += ["".join("(%s)" % ",".join(map(str, c)) for c in g) for g in gens]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_input_never_exits_internal(tmp_path, data):
+    d1 = write(tmp_path, "d1.json", data.draw(design_texts()))
+    d2 = write(tmp_path, "d2.json", data.draw(design_texts()))
+    gens = write(tmp_path, "g.gens", data.draw(generator_texts()))
+    points = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True)
+                       | st.lists(WILD_POINTS, max_size=9))
+    subset = ",".join(map(str, points))
+    number = str(data.draw(st.integers(min_value=-1, max_value=3)))
+    argv = data.draw(st.sampled_from([
+        ["verify", d1],
+        ["aut", d1],
+        ["iso", d1, d2],
+        ["decompose", d1, gens],
+        ["diffset", "check", gens, subset, "--lambda", number],
+        ["diffset", "develop", gens, subset],
+        ["diffset", "regular", gens, "--limit", number],
+    ]))
+    try:
+        code = main(argv)
+    except SystemExit as err:  # argparse rejects a subset such as "-1,2"
+        code = err.code
+    assert code != 3, argv

@@ -40,6 +40,20 @@ def assert_witness(s1: IncidenceStructure, s2: IncidenceStructure, w: Perm):
     assert mapped == list(s2.blocks)
 
 
+def assert_same_verdict_with_target_group(s1, s2, got):
+    """Passing Aut(s2), or its trivial subgroup, keeps the verdict.
+
+    With the full group the search is the one the two-argument call runs,
+    so the map is the same too.
+    """
+    full = are_isomorphic(s1, s2, automorphism_group(s2))
+    trivial = are_isomorphic(s1, s2, PermGroup([], s2.v))
+    assert full == got
+    assert (trivial is None) == (got is None)
+    if trivial is not None:
+        assert_witness(s1, s2, trivial)
+
+
 class TestAutomorphismGroups:
     def test_fano(self):
         a = automorphism_group(fano())
@@ -177,6 +191,7 @@ class TestIsomorphism:
             assert (got is None) == (want is None)
             if got is not None:
                 assert_witness(s1, s2, got)
+            assert_same_verdict_with_target_group(s1, s2, got)
 
     def test_affine_planes_built_twice(self):
         a = build_affine_design(3, 2, 2).structure
@@ -184,6 +199,13 @@ class TestIsomorphism:
         w = are_isomorphic(a, b)
         assert w is not None
         assert_witness(a, b, w)
+
+    def test_target_group_must_be_automorphisms(self):
+        s = fano()
+        with pytest.raises(ValueError, match="aut2"):
+            are_isomorphic(s, s, PermGroup([Perm.from_cycles([(0, 1)], 7)], 7))
+        with pytest.raises(ValueError, match="aut2"):
+            are_isomorphic(s, s, PermGroup([], 8))
 
     def test_d64_designs_not_isomorphic(self):
         d1, d2, _ = d64_pair()
@@ -206,3 +228,4 @@ def test_random_relabeling_always_found(data):
     w = are_isomorphic(s1, s2)
     assert w is not None
     assert_witness(s1, s2, w)
+    assert_same_verdict_with_target_group(s1, s2, w)
