@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or checked-true, 1 checked-false (a verification or
 isomorphism test that ran and answered no), 2 usage or input error,
-3 internal failure.  `-` stands for stdin wherever a file is expected.
+3 internal failure, 4 a search that ran out of its budget (`diffset regular
+--budget`).  `-` stands for stdin wherever a file is expected.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BUDGET = 4
 
 
 class UsageError(Exception):
@@ -66,7 +68,8 @@ def _load_group(spec: str) -> PermGroup:
 
 def _parse_subset(spec: str, degree: int) -> list[int]:
     """1-based point list, inline (comma or space separated) or from a file."""
-    if spec != "-" and not Path(spec).exists():
+    # a blank spec is inline text: Path("") is the current directory
+    if spec != "-" and not (spec.strip() and Path(spec).exists()):
         text = spec
     else:
         text = _read_text(spec)
@@ -241,7 +244,7 @@ def cmd_diffset(args) -> int:
             raise UsageError(str(err))
         except BudgetExhausted as err:
             print("budget exhausted: %s" % err, file=sys.stderr)
-            return EXIT_INTERNAL
+            return EXIT_BUDGET
         if not found:
             print("no regular subgroup")
             return EXIT_FALSE
@@ -292,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "flag-transitive point-imprimitive symmetric 2-designs.")
     parser.add_argument("--version", action="store_true",
                         help="print package version and data checksums")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted for interface stability; all "
-                             "computations run single-threaded")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify", help="check that a design file is a 2-design")
@@ -378,9 +378,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     if args.command is None:
         parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
         return EXIT_USAGE
     for attr in ("vmax", "limit", "budget"):
         if getattr(args, attr, 1) < 0:

@@ -7,6 +7,12 @@ individualizes one point at a time: the reference path always takes the
 smallest vertex of the first smallest non-singleton point cell, and
 candidate paths must reproduce the reference refinement trace exactly.
 
+Refinement is kept cheap as in McKay (1981) and McKay-Piperno (2014): a
+splitter only visits cells of the other side of the bipartite graph; a
+candidate is dropped at its first split that differs from the reference
+trace; and a search on the reference graph itself reads the reference
+path's stored colorings instead of refining that path after each restart.
+
 The automorphism search prunes candidate images by orbit-minimality under
 the group found so far, restarting after each new generator; the same
 pruning drives the isomorphism search, using the target's automorphism
@@ -48,21 +54,25 @@ def _mask(cell: tuple[int, ...]) -> int:
     return m
 
 
-def _refine(adj: list[int], cells: list[tuple[int, ...]],
-            splitters: deque[int]) -> tuple:
+def _refine(adj: list[int], cells: list[tuple[int, ...]], splitters: deque[int],
+            v: int, expect: tuple | None = None) -> tuple | None:
     """Refine to equitability; returns the trace of splits performed.
 
     Cells are replaced in place by their fragments, ordered by ascending
     neighbor count into the splitter, so the procedure is deterministic
-    and two isomorphic colorings produce identical traces.
+    and two isomorphic colorings produce identical traces.  Vertices below
+    v are points; a splitter skips the cells of its own side, which it
+    cannot split.  Given expect, returns None as soon as the trace stops
+    being a prefix of it, so the caller still compares the whole trace.
     """
     trace = []
     while splitters:
         s_mask = splitters.popleft()
+        split_points = s_mask >> v != 0
         i = 0
         while i < len(cells):
             cell = cells[i]
-            if len(cell) > 1:
+            if len(cell) > 1 and (cell[0] < v) == split_points:
                 groups: dict[int, list[int]] = {}
                 for u in cell:
                     groups.setdefault((adj[u] & s_mask).bit_count(), []).append(u)
@@ -70,7 +80,11 @@ def _refine(adj: list[int], cells: list[tuple[int, ...]],
                     counts = sorted(groups)
                     parts = [tuple(groups[c]) for c in counts]
                     cells[i:i + 1] = parts
-                    trace.append((i, tuple(counts), tuple(len(p) for p in parts)))
+                    record = (i, tuple(counts), tuple(len(p) for p in parts))
+                    if expect is not None and (len(trace) == len(expect)
+                                               or expect[len(trace)] != record):
+                        return None
+                    trace.append(record)
                     for p in parts:
                         splitters.append(_mask(p))
                     i += len(parts)
@@ -98,33 +112,34 @@ def _target_cell(cells: list[tuple[int, ...]], v: int) -> int | None:
     return best
 
 
-def _root(g: _Graph) -> tuple[list[tuple[int, ...]], tuple]:
+def _root(g: _Graph, expect: tuple | None = None) -> tuple[list[tuple[int, ...]], tuple | None]:
     """The point/block coloring refined to equitability, and its trace.
 
     A structure without blocks has no block cell: every cell is non-empty.
     """
     cells = [c for c in (tuple(range(g.v)), tuple(range(g.v, g.n))) if c]
-    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]))
+    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]), g.v, expect)
 
 
 class _ReferencePath:
-    """The leftmost individualization path of a graph, computed once."""
+    """The leftmost individualization path of a graph, computed once.
+
+    Level i is (target cell index, point individualized, refined coloring,
+    trace).  The stored colorings are shared with every search on the
+    graph, so they are never mutated.
+    """
 
     def __init__(self, g: _Graph):
         self.graph = g
         cells, self.root_trace = _root(g)
-        self.targets: list[int] = []
-        self.traces: list[tuple] = []
-        while True:
-            idx = _target_cell(cells, g.v)
-            if idx is None:
-                break
+        self.root_cells = cells
+        self.levels: list[tuple[int, int, list[tuple[int, ...]], tuple]] = []
+        while (idx := _target_cell(cells, g.v)) is not None:
             u = min(cells[idx])
             cells = _individualize(cells, idx, u)
-            trace = _refine(g.adj, cells, deque([1 << u, _mask(cells[idx + 1])]))
-            self.targets.append(idx)
-            self.traces.append(trace)
-        self.depth = len(self.targets)
+            trace = _refine(g.adj, cells, deque([1 << u, _mask(cells[idx + 1])]), g.v)
+            self.levels.append((idx, u, cells, trace))
+        self.depth = len(self.levels)
         self.leaf_points = [c[0] for c in cells if c[0] < g.v]
 
 
@@ -147,30 +162,37 @@ def _search(ref: _ReferencePath, dst: _Graph, known: PermGroup,
     """
     g = dst
 
-    def walk(level: int, cells: list[tuple[int, ...]], kgroup: PermGroup):
+    def walk(level: int, cells: list[tuple[int, ...]], kgroup: PermGroup,
+             on_path: bool):
         if level == ref.depth:
             img = _leaf_permutation(ref, cells, g)
             return accept(img)
-        idx = ref.targets[level]
+        idx, ref_u, ref_cells, ref_trace = ref.levels[level]
         cell = cells[idx]
         for u in sorted(cell):
             orb = kgroup.orbit(u)
             if orb[0] < u:
                 continue
-            branched = _individualize(cells, idx, u)
-            trace = _refine(g.adj, branched,
-                            deque([1 << u, _mask(branched[idx + 1])]))
-            if trace != ref.traces[level]:
-                continue
-            result = walk(level + 1, branched, kgroup.point_stabilizer(u))
+            stays = on_path and u == ref_u
+            if stays:
+                branched = ref_cells
+            else:
+                branched = _individualize(cells, idx, u)
+                trace = _refine(g.adj, branched, deque([1 << u, _mask(branched[idx + 1])]),
+                                g.v, ref_trace)
+                if trace != ref_trace:
+                    continue
+            result = walk(level + 1, branched, kgroup.point_stabilizer(u), stays)
             if result is not None:
                 return result
         return None
 
-    cells, trace = _root(g)
+    if dst is ref.graph:
+        return walk(0, ref.root_cells, known, True)
+    cells, trace = _root(g, ref.root_trace)
     if trace != ref.root_trace:
         return None
-    return walk(0, cells, known)
+    return walk(0, cells, known, False)
 
 
 def automorphism_group(s: IncidenceStructure,
@@ -228,7 +250,7 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
         return None
     g1, g2 = _Graph(s1), _Graph(s2)
     ref = _ReferencePath(g1)
-    if _root(g2)[1] != ref.root_trace:
+    if _root(g2, ref.root_trace)[1] != ref.root_trace:
         return None
     if aut2 is None:
         aut2 = automorphism_group(s2)

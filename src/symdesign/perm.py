@@ -243,12 +243,6 @@ def parse_generator_file(text: str) -> tuple[int, list[Perm]]:
     return degree, gens
 
 
-def render_generator_file(degree: int, gens: Sequence[Perm]) -> str:
-    lines = ["degree %d" % degree]
-    lines.extend(g.cycle_string() for g in gens)
-    return "\n".join(lines) + "\n"
-
-
 class _OrderReached(Exception):
     """A build of known order has reached it, so its chain is complete."""
 
@@ -639,18 +633,3 @@ def minimal_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]
         systems.append(to_partition(lab))
     systems.sort(key=lambda s: (len(s[0]), s))
     return systems
-
-
-def block_system_action(group_gens: Sequence[Perm], system: Sequence[Sequence[int]]) -> list[Perm]:
-    """Induced permutations on the classes of an invariant partition."""
-    index_of: dict[int, int] = {}
-    for i, cls in enumerate(system):
-        for x in cls:
-            index_of[x] = i
-    out = []
-    for g in group_gens:
-        img = [0] * len(system)
-        for i, cls in enumerate(system):
-            img[i] = index_of[g[cls[0]]]
-        out.append(Perm(img))
-    return out

@@ -53,10 +53,6 @@ class TestTopLevel:
             main(["frobnicate"])
         assert err.value.code == 2
 
-    def test_threads_flag_is_accepted_but_validated(self, capsys, fano_file):
-        assert main(["--threads", "4", "verify", fano_file]) == 0
-        assert main(["--threads", "0", "verify", fano_file]) == 2
-
 
 class TestVerify:
     def test_fano_verifies(self, capsys, fano_file):
@@ -240,6 +236,12 @@ class TestDiffset:
         assert main(["diffset", "check", gens, "1,1,2", "--lambda", "1"]) == 2
         assert main(["diffset", "check", gens, "", "--lambda", "1"]) == 2
 
+    def test_blank_subset_is_empty_not_a_directory(self, capsys, tmp_path):
+        gens = write(tmp_path, "c7.gens", C7_GENS)
+        for blank in ("", " "):
+            assert main(["diffset", "check", gens, blank, "--lambda", "1"]) == 2
+            assert "subset is empty" in capsys.readouterr().err
+
     def test_subset_from_file(self, capsys, tmp_path):
         gens = write(tmp_path, "c7.gens", C7_GENS)
         subset = write(tmp_path, "subset.txt", "1 2 4\n")
@@ -267,7 +269,8 @@ class TestDiffset:
 
     def test_regular_budget_exhaustion(self, capsys, tmp_path):
         gens = write(tmp_path, "cube.gens", C2CUBE_GENS)
-        assert main(["diffset", "regular", gens, "--budget", "0"]) == 3
+        assert main(["diffset", "regular", gens, "--budget", "0"]) == 4
+        assert "budget exhausted" in capsys.readouterr().err
 
     def test_non_regular_group_rejected_for_check(self, capsys, tmp_path):
         gens = write(tmp_path, "s7.gens", S7_GENS)
@@ -352,6 +355,7 @@ def test_malformed_input_never_exits_internal(tmp_path, data):
         ["diffset", "check", gens, subset, "--lambda", number],
         ["diffset", "develop", gens, subset],
         ["diffset", "regular", gens, "--limit", number],
+        ["diffset", "regular", gens, "--budget", number],
     ]))
     try:
         code = main(argv)

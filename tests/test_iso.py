@@ -1,13 +1,15 @@
 """Tests for isomorphism testing and automorphism groups of structures."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from symdesign.catalog import DATA_DIR
+from symdesign import iso
+from symdesign.catalog import DATA_DIR, entry
 from symdesign.design import IncidenceStructure, complement, develop, induced_block_action
 from symdesign.geometry import build_affine_design, build_projective_design
 from symdesign.iso import are_isomorphic, automorphism_group
@@ -229,3 +231,111 @@ def test_random_relabeling_always_found(data):
     assert w is not None
     assert_witness(s1, s2, w)
     assert_same_verdict_with_target_group(s1, s2, w)
+
+
+# -- the refinement kernel ---------------------------------------------------
+
+def naive_refine(adj, cells, splitters):
+    """The reference for the same-side skip: every cell is tried against
+    every splitter, whichever side it is on."""
+    trace = []
+    while splitters:
+        s_mask = splitters.popleft()
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            groups = {}
+            for u in cell:
+                groups.setdefault((adj[u] & s_mask).bit_count(), []).append(u)
+            if len(groups) > 1:
+                counts = sorted(groups)
+                parts = [tuple(groups[c]) for c in counts]
+                cells[i:i + 1] = parts
+                trace.append((i, tuple(counts), tuple(len(p) for p in parts)))
+                splitters.extend(iso._mask(p) for p in parts)
+                i += len(parts)
+            else:
+                i += 1
+    return tuple(trace)
+
+
+@st.composite
+def structures(draw, max_v=9):
+    v = draw(st.integers(min_value=1, max_value=max_v))
+    blocks = draw(st.lists(
+        st.sets(st.integers(0, v - 1), min_size=1, max_size=v).map(
+            lambda b: tuple(sorted(b))), max_size=8))
+    return IncidenceStructure(v, sorted(blocks))
+
+
+def refinement_steps(data, s):
+    """The root coloring and splitters, then one individualization of a
+    drawn point per level until the coloring is discrete."""
+    g = iso._Graph(s)
+    cells = [c for c in (tuple(range(g.v)), tuple(range(g.v, g.n))) if c]
+    splitters = [iso._mask(c) for c in cells]
+    while True:
+        yield g, list(cells), splitters
+        iso._refine(g.adj, cells, deque(splitters), g.v)
+        idx = iso._target_cell(cells, g.v)
+        if idx is None:
+            return
+        u = data.draw(st.sampled_from(cells[idx]))
+        cells = iso._individualize(cells, idx, u)
+        splitters = [1 << u, iso._mask(cells[idx + 1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), structures())
+def test_same_side_skip_matches_scanning_every_cell(data, s):
+    for g, cells, splitters in refinement_steps(data, s):
+        naive = list(cells)
+        want = naive_refine(g.adj, naive, deque(splitters))
+        got_cells = list(cells)
+        assert iso._refine(g.adj, got_cells, deque(splitters), g.v) == want
+        assert got_cells == naive
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), structures(), structures())
+def test_guided_refinement_stops_only_off_the_expected_trace(data, s, other):
+    """With expect, _refine returns None exactly when its trace stops being a
+    prefix of expect; otherwise it returns the unguided trace and cells.  So
+    a guided trace equals expect exactly when the unguided one does."""
+    g, cells, splitters = data.draw(st.sampled_from(
+        list(refinement_steps(data, s))))
+    unguided_cells = list(cells)
+    unguided = iso._refine(g.adj, unguided_cells, deque(splitters), g.v)
+    other_trace = iso._root(iso._Graph(other))[1]
+    cut = data.draw(st.integers(0, len(unguided)))
+    bent = [unguided, unguided[:cut], unguided + ((0, (0, 1), (1, 1)),),
+            other_trace]
+    if cut < len(unguided):
+        i, counts, sizes = unguided[cut]
+        bent.append(unguided[:cut] + ((i + 1, counts, sizes),)
+                    + unguided[cut + 1:])
+    expect = data.draw(st.sampled_from(bent))
+    guided_cells = list(cells)
+    guided = iso._refine(g.adj, guided_cells, deque(splitters), g.v, expect)
+    is_prefix = unguided == expect[:len(unguided)]
+    assert (guided is None) == (not is_prefix)
+    if guided is not None:
+        assert guided == unguided and guided_cells == unguided_cells
+    assert (guided == expect) == (unguided == expect)
+
+
+def test_aut_search_reuses_the_reference_path(monkeypatch):
+    """The reference path of d64-1 is 7 refinements (the root and 6
+    levels).  The search makes 10 passes, one per generator found and a
+    last that finds none; each pass reads the path's colorings instead of
+    refining them again, so Aut(d64-1) makes 175 refinements, not 245."""
+    calls = []
+    refine = iso._refine
+
+    def counting(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(iso, "_refine", counting)
+    assert iso.automorphism_group(entry("d64-1").design).order() == 43008
+    assert len(calls) == 175
