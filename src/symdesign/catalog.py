@@ -21,10 +21,8 @@ from math import factorial
 from pathlib import Path
 
 from .design import (
-    DesignError,
     IncidenceStructure,
     complement,
-    design_from_json,
     develop,
     induced_block_action,
     is_flag_transitive,
@@ -394,28 +392,6 @@ def build_classical(name: str) -> CatalogEntry:
     if m:
         return build_complete(int(m.group(1)), int(m.group(2)))
     raise ValueError("unknown classical design %r" % name)
-
-
-def load_design(text: str, expected: tuple[int, int, int],
-                name: str = "external") -> CatalogEntry:
-    """Verify a serialized design against claimed parameters.
-
-    For parameter sets whose constructions are not carried here, the entry
-    holds only the checked design; the trivial group is attached and no
-    transitivity claims are made.
-    """
-    design = design_from_json(text)
-    params = verify_design(design)
-    if (params.v, params.k, params.lam) != tuple(expected):
-        raise DesignError("file holds a 2-(%d,%d,%d) design, expected 2-(%d,%d,%d)"
-                          % ((params.v, params.k, params.lam) + tuple(expected)))
-    return CatalogEntry(
-        name=name,
-        design=design,
-        group=PermGroup([], design.v),
-        claims={"params": tuple(expected)},
-        note="loaded from a design file and checked, not constructed",
-    )
 
 
 def names() -> list[str]:

@@ -15,6 +15,7 @@ are filtered to that shape before any closure is computed.
 
 from __future__ import annotations
 
+from operator import eq
 from typing import Iterable, Sequence
 
 from .design import IncidenceStructure
@@ -93,17 +94,6 @@ def develop_difference_set(action: RegularAction, d: Iterable[int]) -> Incidence
     return IncidenceStructure(n, blocks)
 
 
-def _uniform_cycle_length(p: Perm) -> int | None:
-    """Common cycle length of a fixed-point-free permutation, else None."""
-    cycles = p.cycles()
-    if not cycles:
-        return 1
-    length = len(cycles[0])
-    if any(len(c) != length for c in cycles) or length * len(cycles) != p.degree:
-        return None
-    return length
-
-
 def find_regular_subgroups(group: PermGroup, limit: int = 1,
                            budget: int = 100_000) -> list[RegularAction]:
     """Up to `limit` regular subgroups of a transitive group, depth-first.
@@ -134,11 +124,16 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
                 frontier.append(y)
 
     stab = sorted(group.point_stabilizer(0).iter_elements(),
-                  key=lambda p: tuple(p[i] for i in range(n)))
+                  key=lambda p: p.img)
+
+    points = range(n)
 
     def shaped(p: Perm) -> bool:
-        length = _uniform_cycle_length(p)
-        return length is not None and n % length == 0
+        # fixed-point-free with cycles of one length, which then divides n;
+        # never the identity, as p sends 0 outside the subgroup's orbit of 0
+        if any(map(eq, p.img, points)):
+            return False
+        return len({len(c) for c in p.cycles()}) == 1
 
     def closure(gens: Sequence[Perm]) -> set[Perm] | None:
         # abandon as soon as the subgroup exceeds n elements or an element
@@ -152,7 +147,7 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
                 if y not in elems:
                     if len(elems) >= n:
                         return None
-                    if any(y[i] == i for i in range(n)):
+                    if any(map(eq, y.img, points)):
                         return None
                     elems.add(y)
                     queue.append(y)

@@ -247,21 +247,6 @@ def all_rows(vmax: int = 100) -> list[ParamRow]:
     return rows
 
 
-def enumerate_k0_eq_2(vmax: int = 100) -> list[ParamRow]:
-    """Families whose inner design is the complete 2-(v0,2,1) design."""
-    return [row for row in all_rows(vmax) if _shape(row) == 0]
-
-
-def enumerate_k0_eq_v0_minus_1(vmax: int = 100) -> list[ParamRow]:
-    """Families whose inner design is the complete 2-(v0,v0-1,v0-2) design."""
-    return [row for row in all_rows(vmax) if _shape(row) == 1]
-
-
-def enumerate_middle_k0(vmax: int = 100) -> list[ParamRow]:
-    """Families with 3 <= k0 <= v0-2, one row per (lambda0, lambda1) option."""
-    return [row for row in all_rows(vmax) if _shape(row) == 2]
-
-
 def symmetric_filter(rows: list[ParamRow]) -> list[ParamRow]:
     """The families that reach a symmetric design at mu = mu_s.
 

@@ -16,8 +16,11 @@ path's stored colorings instead of refining that path after each restart.
 The automorphism search prunes candidate images by orbit-minimality under
 the group found so far, restarting after each new generator; the same
 pruning drives the isomorphism search, using the target's automorphism
-group.  Exhausted search is the non-isomorphism certificate; no canonical
-certificates are produced.
+group.  Cheap invariants come first: non_isomorphism_witness compares the
+point and block counts, block sizes, the GF(2) rank of the incidence matrix
+(Assmus and Key, Designs and their Codes, 1992, ch. 2) and the root
+refinement trace.  When they agree, exhausted search is the
+non-isomorphism certificate; no canonical certificates are produced.
 """
 
 from __future__ import annotations
@@ -112,13 +115,54 @@ def _target_cell(cells: list[tuple[int, ...]], v: int) -> int | None:
     return best
 
 
-def _root(g: _Graph, expect: tuple | None = None) -> tuple[list[tuple[int, ...]], tuple | None]:
+def _root(g: _Graph) -> tuple[list[tuple[int, ...]], tuple]:
     """The point/block coloring refined to equitability, and its trace.
 
     A structure without blocks has no block cell: every cell is non-empty.
     """
     cells = [c for c in (tuple(range(g.v)), tuple(range(g.v, g.n))) if c]
-    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]), g.v, expect)
+    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]), g.v)
+
+
+def gf2_rank(s: IncidenceStructure) -> int:
+    """The rank of the incidence matrix of s over GF(2), by elimination on
+    the block rows held as bitsets."""
+    pivots: dict[int, int] = {}
+    for blk in s.blocks:
+        row = _mask(blk)
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def _compare(s1: IncidenceStructure, s2: IncidenceStructure):
+    """The first cheap non-isomorphism witness, cheapest first; without one,
+    each structure's graph and refined root."""
+    for kind, invariant in (("points", lambda s: s.v), ("blocks", lambda s: s.b),
+                            ("block-sizes", lambda s: tuple(sorted(map(len, s.blocks)))),
+                            ("gf2-rank", gf2_rank)):
+        a, b = invariant(s1), invariant(s2)
+        if a != b:
+            return (kind, a, b), None
+    g1, g2 = _Graph(s1), _Graph(s2)
+    root1, root2 = _root(g1), _root(g2)
+    if root1[1] != root2[1]:
+        return ("root-trace", root1[1], root2[1]), None
+    return None, (g1, root1, g2, root2)
+
+
+def non_isomorphism_witness(s1: IncidenceStructure,
+                            s2: IncidenceStructure) -> tuple | None:
+    """(kind, value for s1, value for s2) for the first cheap invariant that
+    differs, else None: kind is "points", "blocks", "block-sizes" (sorted),
+    "gf2-rank" or "root-trace" (the splits refining the root coloring).
+    None means only the exhaustive search of are_isomorphic decides.
+    """
+    return _compare(s1, s2)[0]
 
 
 class _ReferencePath:
@@ -129,9 +173,9 @@ class _ReferencePath:
     graph, so they are never mutated.
     """
 
-    def __init__(self, g: _Graph):
+    def __init__(self, g: _Graph, root: tuple[list[tuple[int, ...]], tuple]):
         self.graph = g
-        cells, self.root_trace = _root(g)
+        cells, self.root_trace = root
         self.root_cells = cells
         self.levels: list[tuple[int, int, list[tuple[int, ...]], tuple]] = []
         while (idx := _target_cell(cells, g.v)) is not None:
@@ -152,15 +196,16 @@ def _leaf_permutation(ref: _ReferencePath, cells: list[tuple[int, ...]],
     return img
 
 
-def _search(ref: _ReferencePath, dst: _Graph, known: PermGroup,
-            accept) -> Perm | None:
+def _search(ref: _ReferencePath, g: _Graph, cells: list[tuple[int, ...]],
+            known: PermGroup, accept) -> Perm | None:
     """DFS over candidate images of the reference path, one result per call.
 
-    known prunes sibling candidates lying in one orbit of the stabilizer of
-    the images chosen so far; accept(img) decides whether a discrete leaf is
-    a result.  Returns the first accepted leaf permutation, else None.
+    cells is g's refined root coloring, whose trace matches the reference
+    root trace.  known prunes sibling candidates lying in one orbit of the
+    stabilizer of the images chosen so far; accept(img) decides whether a
+    discrete leaf is a result.  Returns the first accepted leaf permutation,
+    else None.
     """
-    g = dst
 
     def walk(level: int, cells: list[tuple[int, ...]], kgroup: PermGroup,
              on_path: bool):
@@ -187,12 +232,7 @@ def _search(ref: _ReferencePath, dst: _Graph, known: PermGroup,
                 return result
         return None
 
-    if dst is ref.graph:
-        return walk(0, ref.root_cells, known, True)
-    cells, trace = _root(g, ref.root_trace)
-    if trace != ref.root_trace:
-        return None
-    return walk(0, cells, known, False)
+    return walk(0, cells, known, g is ref.graph)
 
 
 def automorphism_group(s: IncidenceStructure,
@@ -207,7 +247,7 @@ def automorphism_group(s: IncidenceStructure,
     if s.v > MAX_POINTS:
         raise ValueError("supported up to %d points, got v=%d" % (MAX_POINTS, s.v))
     g = _Graph(s)
-    ref = _ReferencePath(g)
+    ref = _ReferencePath(g, _root(g))
     gens: list[Perm] = []
     if known is not None:
         if known.degree != s.v:
@@ -223,7 +263,7 @@ def automorphism_group(s: IncidenceStructure,
                 return p
             return None
 
-        new = _search(ref, g, kgroup, accept)
+        new = _search(ref, g, ref.root_cells, kgroup, accept)
         if new is None:
             return kgroup
         kgroup = kgroup.extend(new)
@@ -233,25 +273,24 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
                    aut2: PermGroup | None = None) -> Perm | None:
     """A point bijection carrying s1's blocks onto s2's, or None.
 
-    Exhaustive over the pruned refinement tree, so None is a proof.  The
-    search skips branches equivalent under aut2, the target's automorphism
-    group, computed here unless the caller passes it.  A passed aut2 must
-    act on s2's points and each of its generators must carry s2's blocks
-    onto themselves (else ValueError), so it is a subgroup of Aut(s2).
-    Any such subgroup prunes soundly, since it maps an isomorphism through
-    one branch to one through the other; a smaller group only prunes less.
+    None at once when non_isomorphism_witness has a witness; otherwise the
+    search is exhaustive over the pruned refinement tree, so None is a
+    proof.  The search skips branches equivalent under aut2, the target's
+    automorphism group, computed here unless the caller passes it.  A
+    passed aut2 must act on s2's points and each of its generators must
+    carry s2's blocks onto themselves (else ValueError), so it is a
+    subgroup of Aut(s2).  Any such subgroup prunes soundly, since it maps
+    an isomorphism through one branch to one through the other; a smaller
+    group only prunes less.
     """
     if aut2 is not None and (aut2.degree != s2.v or not all(
             carries_blocks(p.img, s2.blocks, s2.blocks) for p in aut2.generators)):
         raise ValueError("aut2 is not a group of automorphisms of s2")
-    if s1.v != s2.v or s1.b != s2.b:
+    witness, roots = _compare(s1, s2)
+    if witness is not None:
         return None
-    if sorted(len(b) for b in s1.blocks) != sorted(len(b) for b in s2.blocks):
-        return None
-    g1, g2 = _Graph(s1), _Graph(s2)
-    ref = _ReferencePath(g1)
-    if _root(g2, ref.root_trace)[1] != ref.root_trace:
-        return None
+    g1, root1, g2, root2 = roots
+    ref = _ReferencePath(g1, root1)
     if aut2 is None:
         aut2 = automorphism_group(s2)
 
@@ -260,4 +299,4 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
             return Perm(img)
         return None
 
-    return _search(ref, g2, aut2, accept)
+    return _search(ref, g2, root2[0], aut2, accept)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # p applied first, then q
@@ -76,6 +78,25 @@ def pair_count_matrix(v: int, blocks: list[frozenset[int]]) -> dict[tuple[int, i
         for x, y in combinations(sorted(b), 2):
             counts[(x, y)] += 1
     return counts
+
+
+def gf2_rank(v: int, blocks: list[tuple[int, ...]]) -> int:
+    """Rank over GF(2) of the 0/1 block-by-point incidence matrix, by
+    Gaussian elimination down the columns of a numpy array."""
+    m = np.zeros((len(blocks), v), dtype=np.uint8)
+    for i, b in enumerate(blocks):
+        m[i, list(b)] = 1
+    rank = 0
+    for col in range(v):
+        below = np.nonzero(m[rank:, col])[0]
+        if below.size == 0:
+            continue
+        pivot = rank + below[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        hits = np.nonzero(m[:, col])[0]
+        m[hits[hits != rank]] ^= m[rank]
+        rank += 1
+    return rank
 
 
 def _maps_blocks(p: tuple[int, ...], blocks1: list[tuple[int, ...]],

@@ -16,7 +16,6 @@ from symdesign.catalog import (
     build_d64,
     build_s_minus_3,
     entry,
-    load_design,
     names,
     order16_groups,
     order16_specs,
@@ -26,6 +25,7 @@ from symdesign.decomp import DecompositionError, check_symmetric_consistency, de
 from symdesign.design import (
     DesignError,
     IncidenceStructure,
+    design_from_json,
     design_to_json,
     is_flag_transitive,
     is_point_primitive,
@@ -264,18 +264,29 @@ class TestDecompositions:
 
 
 class TestLoadDesign:
+    """A design file is loaded by design_from_json and checked by
+    verify_design; claimed parameters are checked by run_claims."""
+
     def test_round_trip_with_matching_parameters(self):
         fano = entry("fano")
-        loaded = load_design(design_to_json(fano.design), (7, 3, 1))
-        assert loaded.design.blocks == fano.design.blocks
-        assert loaded.group.order() == 1
-        report = run_claims(loaded)
-        assert all(ok for _, ok, _ in report)
+        loaded = design_from_json(design_to_json(fano.design))
+        assert loaded.blocks == fano.design.blocks
+        params = verify_design(loaded)
+        assert (params.v, params.k, params.lam) == (7, 3, 1)
+        external = CatalogEntry("external", loaded, PermGroup([], 7),
+                                claims={"params": (7, 3, 1)})
+        assert all(ok for _, ok, _ in run_claims(external))
 
     def test_parameter_mismatch_raises(self):
         fano = entry("fano")
-        with pytest.raises(DesignError, match="expected"):
-            load_design(design_to_json(fano.design), (7, 4, 2))
+        broken = design_to_json(IncidenceStructure(
+            7, list(fano.design.blocks[:-1]) + [(0, 1, 2)]))
+        with pytest.raises(DesignError):
+            verify_design(design_from_json(broken))
+        claimed = CatalogEntry("external", fano.design, PermGroup([], 7),
+                               claims={"params": (7, 4, 2)})
+        assert run_claims(claimed)[0] == (
+            "params", False, "2-(7,3,1) design, b=7, r=3, symmetric=true")
 
 
 # Witnesses for proper flag-transitive subgroups of the full automorphism

@@ -11,15 +11,27 @@ from symdesign.enumeration import (
     QUOTIENT_DESIGNS,
     ParamRow,
     all_rows,
-    enumerate_k0_eq_2,
-    enumerate_k0_eq_v0_minus_1,
-    enumerate_middle_k0,
     render_table,
     symmetric_filter,
     table_rows,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def pair_rows():
+    """Families whose inner design is the complete 2-(v0,2,1) design."""
+    return [r for r in all_rows() if r.k0 == 2]
+
+
+def complete_rows():
+    """Families whose inner design is the complete 2-(v0,v0-1,v0-2) design."""
+    return [r for r in all_rows() if r.k0 == r.v0 - 1 >= 3]
+
+
+def middle_rows():
+    """Families with 3 <= k0 <= v0-2, one row per (lambda0, lambda1) option."""
+    return [r for r in all_rows() if 3 <= r.k0 <= r.v0 - 2]
 
 
 def as_fixture_tuple(row: ParamRow):
@@ -46,13 +58,16 @@ def as_symmetric_tuple(row: ParamRow):
 
 class TestRowCounts:
     def test_pair_inner_branch(self):
-        assert len(enumerate_k0_eq_2()) == 30
+        assert len(pair_rows()) == 30
 
     def test_complete_inner_branch(self):
-        assert len(enumerate_k0_eq_v0_minus_1()) == 3
+        assert len(complete_rows()) == 3
 
     def test_middle_branch(self):
-        assert len(enumerate_middle_k0()) == 44
+        assert len(middle_rows()) == 44
+
+    def test_rows_are_ordered_by_shape(self):
+        assert all_rows() == pair_rows() + complete_rows() + middle_rows()
 
     def test_table_split(self):
         tables = table_rows()
@@ -138,7 +153,7 @@ class TestClassificationFixtures:
 
     def test_quotient_multiplicities(self):
         # each (v1,k1,lambda1) option appears once per compatible inner family
-        rows = enumerate_k0_eq_2()
+        rows = pair_rows()
         for (v1, k1), options in QUOTIENT_DESIGNS.items():
             got = sorted(r.lambda1 for r in rows if (r.v1, r.k1) == (v1, k1))
             if got:
@@ -146,7 +161,7 @@ class TestClassificationFixtures:
                 assert got == want
 
     def test_middle_rows_match_inner_fixture(self):
-        rows = enumerate_middle_k0()
+        rows = middle_rows()
         for (v0, k0), options in INNER_DESIGNS.items():
             quads = {(r.v1, r.k1) for r in rows if (r.v0, r.k0) == (v0, k0)}
             for v1, k1 in quads:
@@ -155,7 +170,7 @@ class TestClassificationFixtures:
                 assert got == sorted(lam for lam, _ in options)
 
     def test_every_inner_family_is_reached(self):
-        reached = {(r.v0, r.k0) for r in enumerate_middle_k0()}
+        reached = {(r.v0, r.k0) for r in middle_rows()}
         assert reached == set(INNER_DESIGNS)
 
 
@@ -172,12 +187,12 @@ class TestSymmetricFilter:
         rows = symmetric_filter(all_rows())
         assert all(not (r.k0 == r.v0 - 1 and r.k0 >= 3) for r in rows)
         # the (4,3) family passes the divisibility test yet yields nothing
-        candidate = next(r for r in enumerate_k0_eq_v0_minus_1() if r.v1 == 10)
+        candidate = next(r for r in complete_rows() if r.v1 == 10)
         assert candidate.mu_s == 4
 
     def test_sixteen_point_exception(self):
         # arithmetic alone would allow mu=16 for the lambda0=4 family
-        row = next(r for r in enumerate_middle_k0()
+        row = next(r for r in middle_rows()
                    if (r.v0, r.k0, r.lambda0) == (16, 4, 4))
         assert row.v % row.b1 == 0
         assert (row.v // row.b1) % row.mu_condition == 0
@@ -199,7 +214,7 @@ class TestBounds:
 
     def test_vmax_above_support_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_k0_eq_2(vmax=200)
+            all_rows(vmax=200)
 
 
 class TestGoldenFiles:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from symdesign import iso
-from symdesign.catalog import DATA_DIR, entry
+from symdesign.catalog import DATA_DIR, biplane_classes, entry
 from symdesign.design import IncidenceStructure, complement, develop, induced_block_action
 from symdesign.geometry import build_affine_design, build_projective_design
 from symdesign.iso import are_isomorphic, automorphism_group
@@ -213,6 +213,13 @@ class TestIsomorphism:
         d1, d2, _ = d64_pair()
         assert are_isomorphic(d1, d2) is None
 
+    def test_equal_rank_pair_takes_the_exhaustive_search(self):
+        """s-minus-3 and d64-2 agree on every cheap invariant, GF(2) rank 8
+        included, so only the 64-point search tells them apart."""
+        s, d2 = entry("s-minus-3").design, entry("d64-2").design
+        assert iso.non_isomorphism_witness(s, d2) is None
+        assert are_isomorphic(s, d2) is None
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
@@ -260,11 +267,11 @@ def naive_refine(adj, cells, splitters):
 
 
 @st.composite
-def structures(draw, max_v=9):
+def structures(draw, max_v=9, max_blocks=8):
     v = draw(st.integers(min_value=1, max_value=max_v))
     blocks = draw(st.lists(
         st.sets(st.integers(0, v - 1), min_size=1, max_size=v).map(
-            lambda b: tuple(sorted(b))), max_size=8))
+            lambda b: tuple(sorted(b))), max_size=max_blocks))
     return IncidenceStructure(v, sorted(blocks))
 
 
@@ -339,3 +346,67 @@ def test_aut_search_reuses_the_reference_path(monkeypatch):
     monkeypatch.setattr(iso, "_refine", counting)
     assert iso.automorphism_group(entry("d64-1").design).order() == 43008
     assert len(calls) == 175
+
+
+# -- cheap invariants and non-isomorphism witnesses ---------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), structures(max_v=70, max_blocks=20))
+def test_gf2_rank_matches_numpy_oracle(data, s):
+    """Blockless structures and repeated blocks included."""
+    blocks = list(s.blocks)
+    if blocks:
+        blocks += data.draw(st.lists(st.sampled_from(blocks), max_size=5))
+    s = IncidenceStructure(s.v, sorted(blocks))
+    assert iso.gf2_rank(s) == oracles.gf2_rank(s.v, list(s.blocks))
+
+
+def test_gf2_ranks_of_the_paper_designs():
+    for name, rank in (("d64-1", 11), ("d64-2", 8), ("s-minus-3", 8)):
+        s = entry(name).design
+        assert iso.gf2_rank(s) == oracles.gf2_rank(s.v, list(s.blocks)) == rank
+    got = [iso.gf2_rank(s) for s, _ in biplane_classes()]
+    assert sorted(got) == [6, 7, 8]
+    assert got == [oracles.gf2_rank(16, list(s.blocks)) for s, _ in biplane_classes()]
+
+
+def test_rank_witness_for_the_two_developments():
+    d1, d2 = entry("d64-1").design, entry("d64-2").design
+    assert iso.non_isomorphism_witness(d1, d2) == ("gf2-rank", 11, 8)
+    assert iso.non_isomorphism_witness(d2, d1) == ("gf2-rank", 8, 11)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), structures(max_v=6))
+def test_witness_agrees_with_brute_force(data, s1):
+    """A relabelled copy never gets a witness.  Against a structure with the
+    same block sizes, a witness is a differing invariant and implies that
+    no isomorphism exists."""
+    img = data.draw(st.permutations(list(range(s1.v))))
+    assert iso.non_isomorphism_witness(s1, relabel(s1, Perm(tuple(img)))) is None
+    s2 = IncidenceStructure(s1.v, sorted(tuple(sorted(data.draw(st.sets(
+        st.integers(0, s1.v - 1), min_size=len(b), max_size=len(b)))))
+        for b in s1.blocks))
+    witness = iso.non_isomorphism_witness(s1, s2)
+    if witness is not None:
+        kind, a, b = witness
+        assert a != b
+        if kind == "gf2-rank":
+            assert (a, b) == (oracles.gf2_rank(s1.v, list(s1.blocks)),
+                              oracles.gf2_rank(s2.v, list(s2.blocks)))
+        assert oracles.first_isomorphism(
+            s1.v, list(s1.blocks), list(s2.blocks)) is None
+        assert are_isomorphic(s1, s2) is None
+
+
+def test_rank_rejection_runs_no_search(monkeypatch):
+    """d64-1 and d64-2 have GF(2) ranks 11 and 8, and the rank is compared
+    before any refinement or automorphism search."""
+    calls = []
+    for name in ("_refine", "automorphism_group"):
+        real = getattr(iso, name)
+        monkeypatch.setattr(iso, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
+    d1, d2 = entry("d64-1").design, entry("d64-2").design
+    assert are_isomorphic(d1, d2) is None
+    assert calls == []
