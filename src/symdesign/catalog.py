@@ -1,14 +1,15 @@
 """Named designs with embedded construction data and verified claims.
 
-Each entry carries the design, the group it was built with, and a claims
-record (parameters, automorphism group order, transitivity properties)
-that run_claims re-checks from scratch.  The two 64-point developments
-are read from the generator strings shipped in data/, the third 64-point
-design comes from an elliptic quadratic form, and the 16-point biplanes
-fall out of an exhaustive difference-set search over the regular
-representations of all fourteen groups of order 16: three designs arise,
-and the two whose full automorphism groups are flag-transitive are the
-ones carried here.
+One ordered table lists the catalog: the paper's five entries, then one
+row per classical geometry; entry() also builds complete(v,k).  Each entry
+carries the design, the group it was built with, and a claims record
+(parameters, automorphism group order, transitivity properties) that
+run_claims re-checks from scratch.  The two 64-point developments are read
+from the generator strings shipped in data/, the third 64-point design
+comes from an elliptic quadratic form, and the 16-point biplanes fall out
+of diffset.difference_sets over the regular representations of all
+fourteen groups of order 16: three designs arise, and the two whose full
+automorphism groups are flag-transitive are the ones carried here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 from .design import (
@@ -29,7 +30,8 @@ from .design import (
     is_point_primitive,
     verify_design,
 )
-from .diffset import RegularAction, develop_difference_set, is_difference_set
+from .diffset import RegularAction, develop_difference_set, difference_sets, \
+    is_difference_set
 from .geometry import (
     affine_group_order,
     build_affine_design,
@@ -219,36 +221,6 @@ def order16_groups() -> tuple[tuple[str, PermGroup], ...]:
                  for label, elements, mul, gens in order16_specs())
 
 
-def _division_table(action: RegularAction) -> list[list[int]]:
-    n = action.degree
-    inverses = {x: action.element_of[x].inv() for x in range(n)}
-    return [[(action.element_of[p] * inverses[q])[action.base] for q in range(n)]
-            for p in range(n)]
-
-
-def _difference_sets_16_6_2(action: RegularAction) -> list[tuple[int, ...]]:
-    """All 6-subsets whose nonzero difference counts are uniformly 2."""
-    table = _division_table(action)
-    out = []
-    for d in itertools.combinations(range(16), 6):
-        counts = [0] * 16
-        good = True
-        for p in d:
-            row = table[p]
-            for q in d:
-                if p != q:
-                    c = row[q]
-                    counts[c] += 1
-                    if counts[c] > 2:
-                        good = False
-                        break
-            if not good:
-                break
-        if good and all(counts[c] == 2 for c in range(1, 16)):
-            out.append(d)
-    return out
-
-
 @lru_cache(maxsize=None)
 def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
     """Isomorphism classes of difference-set developable 2-(16,6,2) designs.
@@ -260,7 +232,7 @@ def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
     seen_blocks = set()
     for label, group in order16_groups():
         action = RegularAction.from_group(group)
-        for d in _difference_sets_16_6_2(action):
+        for d in difference_sets(action, 6, 2):
             ok, report = is_difference_set(action, d, 2)
             assert ok, (label, d, report)
             dev = develop_difference_set(action, d)
@@ -309,9 +281,7 @@ def build_complete(v: int, k: int) -> CatalogEntry:
     if not 2 <= k <= v - 1 or v > 100:
         raise ValueError("complete design needs 2 <= k <= v-1 and v <= 100")
     design = IncidenceStructure(v, itertools.combinations(range(v), k))
-    lam = 1
-    for i in range(k - 2):
-        lam = lam * (v - 2 - i) // (i + 1)
+    lam = comb(v - 2, k - 2)
     return CatalogEntry(
         name="complete(%d,%d)" % (v, k),
         design=design,
@@ -326,95 +296,62 @@ def build_complete(v: int, k: int) -> CatalogEntry:
     )
 
 
-def _geometry_entry(name: str, gd, params: tuple[int, int, int],
-                    aut: int, use_complement: bool = False) -> CatalogEntry:
-    design = complement(gd.structure) if use_complement else gd.structure
-    return CatalogEntry(
-        name=name,
-        design=design,
-        group=gd.group,
-        claims={
-            "params": params,
-            "aut_order": aut,
-            "flag_transitive": True,
-            "primitive": True,
-        },
-        note=gd.kind,
-    )
-
-
-_CLASSICAL = {
-    "fano": lambda: _geometry_entry(
-        "fano", build_projective_design(2, 2), (7, 3, 1),
-        projective_group_order(2, 2)),
-    "fano_complement": lambda: _geometry_entry(
-        "fano_complement", build_projective_design(2, 2), (7, 4, 2),
-        projective_group_order(2, 2), use_complement=True),
-    "ag2_3": lambda: _geometry_entry(
-        "ag2_3", build_affine_design(2, 3, 1), (9, 3, 1),
-        affine_group_order(2, 3)),
-    "ag2_3_complement": lambda: _geometry_entry(
-        "ag2_3_complement", build_affine_design(2, 3, 1), (9, 6, 5),
-        affine_group_order(2, 3), use_complement=True),
-    "ag3_2_planes": lambda: _geometry_entry(
-        "ag3_2_planes", build_affine_design(3, 2, 2), (8, 4, 3),
-        affine_group_order(3, 2)),
-    "ag2_4_lines": lambda: _geometry_entry(
-        "ag2_4_lines", build_affine_design(2, 4, 1), (16, 4, 1),
-        affine_group_order(2, 4)),
-    "pg2_3": lambda: _geometry_entry(
-        "pg2_3", build_projective_design(2, 3), (13, 4, 1),
-        projective_group_order(2, 3)),
-    "pg2_3_complement": lambda: _geometry_entry(
-        "pg2_3_complement", build_projective_design(2, 3), (13, 9, 6),
-        projective_group_order(2, 3), use_complement=True),
-    "pg2_4": lambda: _geometry_entry(
-        "pg2_4", build_projective_design(2, 4), (21, 5, 1),
-        projective_group_order(2, 4)),
-    "pg2_4_complement": lambda: _geometry_entry(
-        "pg2_4_complement", build_projective_design(2, 4), (21, 16, 12),
-        projective_group_order(2, 4), use_complement=True),
-    "pg5_2_hyperplanes": lambda: _geometry_entry(
-        "pg5_2_hyperplanes", build_projective_design(5, 2, hyperplanes=True),
-        (63, 31, 15), projective_group_order(5, 2)),
-    "pg5_2_complement": lambda: _geometry_entry(
-        "pg5_2_complement", build_projective_design(5, 2, hyperplanes=True),
-        (63, 32, 16), projective_group_order(5, 2), use_complement=True),
+# The catalog in listing order.  A paper entry is its builder and the
+# builder's arguments.  A geometry row adds (v, k, lambda), the function of
+# the builder's (dim, q) that gives its group's order, and whether the
+# entry is the complement of the geometry's design.
+_TABLE = {
+    "d64-1": (build_d64, (1,)),
+    "d64-2": (build_d64, (2,)),
+    "s-minus-3": (build_s_minus_3, ()),
+    "biplane-1": (build_biplane, (1,)),
+    "biplane-2": (build_biplane, (2,)),
+    "ag2_3": (build_affine_design, (2, 3, 1), (9, 3, 1), affine_group_order, False),
+    "ag2_3_complement": (build_affine_design, (2, 3, 1), (9, 6, 5),
+                         affine_group_order, True),
+    "ag2_4_lines": (build_affine_design, (2, 4, 1), (16, 4, 1), affine_group_order, False),
+    "ag3_2_planes": (build_affine_design, (3, 2, 2), (8, 4, 3), affine_group_order, False),
+    "fano": (build_projective_design, (2, 2), (7, 3, 1), projective_group_order, False),
+    "fano_complement": (build_projective_design, (2, 2), (7, 4, 2),
+                        projective_group_order, True),
+    "pg2_3": (build_projective_design, (2, 3), (13, 4, 1), projective_group_order, False),
+    "pg2_3_complement": (build_projective_design, (2, 3), (13, 9, 6),
+                         projective_group_order, True),
+    "pg2_4": (build_projective_design, (2, 4), (21, 5, 1), projective_group_order, False),
+    "pg2_4_complement": (build_projective_design, (2, 4), (21, 16, 12),
+                         projective_group_order, True),
+    "pg5_2_complement": (build_projective_design, (5, 2, True), (63, 32, 16),
+                         projective_group_order, True),
+    "pg5_2_hyperplanes": (build_projective_design, (5, 2, True), (63, 31, 15),
+                          projective_group_order, False),
 }
 
 _COMPLETE_RE = re.compile(r"^complete\((\d+),(\d+)\)$")
 
 
-def build_classical(name: str) -> CatalogEntry:
-    if name in _CLASSICAL:
-        return _CLASSICAL[name]()
-    m = _COMPLETE_RE.match(name.replace(" ", ""))
-    if m:
-        return build_complete(int(m.group(1)), int(m.group(2)))
-    raise ValueError("unknown classical design %r" % name)
-
-
 def names() -> list[str]:
-    return (["d64-1", "d64-2", "s-minus-3", "biplane-1", "biplane-2"]
-            + sorted(_CLASSICAL) + ["complete(v,k)"])
+    return list(_TABLE) + ["complete(v,k)"]
 
 
 def entry(name: str) -> CatalogEntry:
-    if name == "d64-1":
-        return build_d64(1)
-    if name == "d64-2":
-        return build_d64(2)
-    if name == "s-minus-3":
-        return build_s_minus_3()
-    if name == "biplane-1":
-        return build_biplane(1)
-    if name == "biplane-2":
-        return build_biplane(2)
+    if name in _TABLE:
+        builder, args, *geometry = _TABLE[name]
+        if not geometry:
+            return builder(*args)
+        params, group_order, complemented = geometry
+        gd = builder(*args)
+        design = complement(gd.structure) if complemented else gd.structure
+        claims = {"params": params, "aut_order": group_order(*args[:2]),
+                  "flag_transitive": True, "primitive": True}
+        return CatalogEntry(name, design, gd.group, claims, note=gd.kind)
+    m = _COMPLETE_RE.match(name.replace(" ", ""))
     try:
-        return build_classical(name)
-    except ValueError:
-        raise ValueError("unknown catalog name %r; available: %s"
-                         % (name, ", ".join(names())))
+        if m:
+            return build_complete(int(m.group(1)), int(m.group(2)))
+    except ValueError:  # out-of-range sizes read as an unknown name
+        pass
+    raise ValueError("unknown catalog name %r; available: %s"
+                     % (name, ", ".join(names())))
 
 
 def run_claims(e: CatalogEntry) -> list[tuple[str, bool, str]]:

@@ -53,7 +53,7 @@ def _load_design(spec: str):
     text = _read_text(spec)
     try:
         return design_from_json(text)
-    except (ValueError, DesignError) as err:
+    except ValueError as err:
         raise UsageError("%s is not a design file: %s" % (spec, err))
 
 
@@ -153,20 +153,17 @@ def cmd_decompose(args) -> int:
     except DecompositionError as err:
         print("decomposition failed: %s" % err)
         return EXIT_FALSE
-    inner = d.d0_params
-    quot = d.d1_params
+    fields = {
+        "v0": d.v0, "k0": d.k0, "lambda0": d.lambda0,
+        "r0": d.d0_params.r, "b0": d.d0_params.b, "theta": d.theta,
+        "v1": d.v1, "k1": d.k1, "lambda1": d.d1_params.lam,
+        "r1": d.d1_params.r, "b1": d.d1_params.b, "mu": d.mu,
+    }
     if args.format == "json":
-        print(json.dumps({
-            "v0": d.v0, "k0": d.k0, "lambda0": d.lambda0,
-            "r0": inner.r, "b0": inner.b, "theta": d.theta,
-            "v1": d.v1, "k1": d.k1, "lambda1": quot.lam,
-            "r1": quot.r, "b1": quot.b, "mu": d.mu,
-        }))
+        print(json.dumps(fields))
     elif args.format == "csv":
-        print("v0,k0,lambda0,r0,b0,theta,v1,k1,lambda1,r1,b1,mu")
-        print(",".join(str(x) for x in (
-            d.v0, d.k0, "-" if d.lambda0 is None else d.lambda0, inner.r,
-            inner.b, d.theta, d.v1, d.k1, quot.lam, quot.r, quot.b, d.mu)))
+        print(",".join(fields))
+        print(",".join("-" if x is None else str(x) for x in fields.values()))
     else:
         print(d.table_row())
     return EXIT_OK
@@ -205,11 +202,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        e = entry(args.name)
-    except ValueError as err:
-        raise UsageError(str(err))
-    text = design_to_json(e.design)
+    text = design_to_json(entry(args.name).design)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -220,11 +213,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_claims(args) -> int:
-    try:
-        e = entry(args.name)
-    except ValueError as err:
-        raise UsageError(str(err))
-    report = run_claims(e)
+    report = run_claims(entry(args.name))
     if args.format == "json":
         print(json.dumps([{"claim": label, "ok": ok, "detail": detail}
                           for label, ok, detail in report]))
@@ -240,8 +229,6 @@ def cmd_diffset(args) -> int:
         try:
             found = find_regular_subgroups(group, limit=args.limit,
                                            budget=args.budget)
-        except ValueError as err:
-            raise UsageError(str(err))
         except BudgetExhausted as err:
             print("budget exhausted: %s" % err, file=sys.stderr)
             return EXIT_BUDGET
@@ -257,11 +244,7 @@ def cmd_diffset(args) -> int:
     action = _regular_action(group)
     subset = _parse_subset(args.subset, group.degree)
     if args.diffset_command == "develop":
-        try:
-            design = develop_difference_set(action, subset)
-        except ValueError as err:
-            raise UsageError(str(err))
-        sys.stdout.write(design_to_json(design))
+        sys.stdout.write(design_to_json(develop_difference_set(action, subset)))
         print()
         return EXIT_OK
 

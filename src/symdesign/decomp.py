@@ -191,12 +191,3 @@ def decompose(s: IncidenceStructure, g: PermGroup,
         lambda0=lambda0, lambda1=lambda1, params=params,
     )
 
-
-def check_symmetric_consistency(d: CZDecomposition, s: IncidenceStructure) -> bool:
-    """b = b1*mu, and the design is symmetric exactly when mu = v/b1."""
-    params = d.params
-    b1 = d.d1_params.b
-    if s.b != b1 * d.mu:
-        return False
-    symmetric = params.v == params.b
-    return symmetric == (d.mu * b1 == params.v)

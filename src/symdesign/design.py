@@ -206,12 +206,6 @@ def carries_blocks(img: Sequence[int], blocks: Sequence[tuple[int, ...]],
     return True
 
 
-def is_automorphism(s: IncidenceStructure, p: Perm) -> bool:
-    if p.degree != s.v:
-        raise ValueError("permutation degree %d does not match v=%d" % (p.degree, s.v))
-    return carries_blocks(p.img, s.blocks, s.blocks)
-
-
 def is_flag_transitive(s: IncidenceStructure, g: PermGroup) -> bool:
     """Whether g is transitive on flags (incident point-block pairs).
 

@@ -5,6 +5,8 @@ elements; a k-subset is a (n, k, lambda) difference set when every
 non-identity element has exactly lambda representations as a quotient of
 two of its elements.  Developing the subset under the action yields a
 symmetric design with the group as a point-regular automorphism group.
+is_difference_set checks one subset and difference_sets finds them all;
+both count quotients through the same table.
 
 find_regular_subgroups recovers such actions inside a given automorphism
 group by depth-first search over the elements mapping the base point to
@@ -59,6 +61,16 @@ class RegularAction:
         return "RegularAction(order %d, base %d)" % (self.group.order(), self.base)
 
 
+def _quotient_rows(action: RegularAction, points: Sequence[int]) -> list[tuple[int, ...]]:
+    """One row per point q of points: the image tuple of d_q^{-1}.
+
+    In a regular action the quotient d_p * d_q^{-1} is the one element that
+    sends the base point to d_q^{-1}(p), so entry p of row q names that
+    quotient by a point.  The pair p == q lands on the base point.
+    """
+    return [action.element_of[q].inv().img for q in points]
+
+
 def is_difference_set(action: RegularAction, d: Iterable[int],
                       lam: int) -> tuple[bool, list[tuple[Perm, int]]]:
     """Count quotients d_i * d_j^{-1}; report elements missing lambda.
@@ -69,18 +81,55 @@ def is_difference_set(action: RegularAction, d: Iterable[int],
     points = sorted(set(d))
     if any(p not in action.element_of for p in points):
         raise ValueError("subset contains points outside the action")
-    # In a regular action the quotient d_p * d_q^{-1} is the one element
-    # that sends the base point to d_q^{-1}(p), so counting those points
-    # counts quotients.  The pairs p == q land on the base point, which is
-    # not reported.
     counts = [0] * action.degree
-    for q in points:
-        inv = action.element_of[q].inv().img
+    for row in _quotient_rows(action, points):
         for p in points:
-            counts[inv[p]] += 1
+            counts[row[p]] += 1
     report = [(action.element_of[x], counts[x]) for x in range(action.degree)
               if x != action.base and counts[x] != lam]
     return (not report, report)
+
+
+def difference_sets(action: RegularAction, k: int, lam: int) -> list[tuple[int, ...]]:
+    """Every k-subset that is a difference set with lambda, lexicographically.
+
+    Points join in increasing order, and a prefix is dropped as soon as
+    one of its quotients is counted more than lambda times.
+    """
+    n = action.degree
+    rows = _quotient_rows(action, range(n))
+    counts = [0] * n
+    chosen: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def extend(start: int) -> None:
+        if len(chosen) == k:
+            if all(c == lam for x, c in enumerate(counts) if x != action.base):
+                found.append(tuple(chosen))
+            return
+        for x in range(start, n - k + len(chosen) + 1):
+            row = rows[x]
+            added = []
+            for s in chosen:
+                c = rows[s][x]
+                counts[c] += 1
+                added.append(c)
+                if counts[c] > lam:
+                    break
+                c = row[s]
+                counts[c] += 1
+                added.append(c)
+                if counts[c] > lam:
+                    break
+            else:
+                chosen.append(x)
+                extend(x + 1)
+                chosen.pop()
+            for c in added:
+                counts[c] -= 1
+
+    extend(0)
+    return found
 
 
 def develop_difference_set(action: RegularAction, d: Iterable[int]) -> IncidenceStructure:

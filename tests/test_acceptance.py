@@ -13,7 +13,7 @@ import oracles
 import table_fixture
 from test_enumeration import as_fixture_tuple, as_symmetric_tuple
 
-from symdesign.catalog import build_classical, build_d64, build_s_minus_3, run_claims
+from symdesign.catalog import build_d64, build_s_minus_3, entry, run_claims
 from symdesign.decomp import decompose
 from symdesign.design import (
     IncidenceStructure,
@@ -168,7 +168,7 @@ def test_criterion_07_classical_catalog_claims():
     clock = Clock(120.0)
     checked = 0
     for name in CLASSICAL_NAMES:
-        report_lines = run_claims(build_classical(name))
+        report_lines = run_claims(entry(name))
         failures = [line for line in report_lines if not line[1]]
         assert failures == [], (name, failures)
         checked += len(report_lines)
@@ -198,7 +198,7 @@ def test_criterion_08_regular_subgroup_recovers_development():
 def test_criterion_09_oracle_suites():
     clock = Clock(120.0)
 
-    small = [build_classical(n) for n in CLASSICAL_NAMES
+    small = [entry(n) for n in CLASSICAL_NAMES
              if n not in ("pg5_2_hyperplanes", "pg5_2_complement")]
     small = [e for e in small if e.design.v <= 30]
     assert len(small) >= 10
@@ -208,9 +208,9 @@ def test_criterion_09_oracle_suites():
             e.design.v, [frozenset(b) for b in e.design.blocks])
         assert set(counts.values()) == {params.lam}, e.name
 
-    groups = [build_classical("fano").group,
-              build_classical("ag3_2_planes").group,
-              build_classical("pg2_3").group,
+    groups = [entry("fano").group,
+              entry("ag3_2_planes").group,
+              entry("pg2_3").group,
               build_d64(1).group,
               PermGroup([Perm(tuple((x + 1) % 7 for x in range(7)))], 7)]
     for g in groups:
@@ -218,8 +218,8 @@ def test_criterion_09_oracle_suites():
         assert want <= 10 ** 5
         assert oracles.closure_order([p.img for p in g.generators]) == want
 
-    fano = build_classical("fano").design
-    ag = build_classical("ag3_2_planes").design
+    fano = entry("fano").design
+    ag = entry("ag3_2_planes").design
     relabel = lambda s, p: IncidenceStructure(
         s.v, [tuple(sorted(p[x] for x in b)) for b in s.blocks])
     rng = random.Random(11)
@@ -232,7 +232,7 @@ def test_criterion_09_oracle_suites():
                                            list(other.blocks))
         assert ours is not None and theirs is not None
         assert relabel(s, ours).block_multiset() == other.block_multiset()
-    fano_c = build_classical("fano_complement").design
+    fano_c = entry("fano_complement").design
     assert are_isomorphic(fano, fano_c) is None
     assert oracles.first_isomorphism(7, list(fano.blocks),
                                      list(fano_c.blocks)) is None
@@ -256,7 +256,7 @@ def test_criterion_10_randomized_property_invariants():
             assert b * row.k == row.v * r
             cases += 1
 
-    designs = [build_classical(n).design for n in CLASSICAL_NAMES]
+    designs = [entry(n).design for n in CLASSICAL_NAMES]
     for s in designs:
         params = verify_design(s)
         if s.v - params.k < 2:
@@ -278,10 +278,10 @@ def test_criterion_10_randomized_property_invariants():
             (d.k1 - 1) * d.k0 * (d.v0 - 1)
         cases += 2
 
-    groups = [build_classical("fano").group,
-              build_classical("ag2_3").group,
-              build_classical("pg2_3").group,
-              build_classical("ag2_4_lines").group,
+    groups = [entry("fano").group,
+              entry("ag2_3").group,
+              entry("pg2_3").group,
+              entry("ag2_4_lines").group,
               build_d64(1).group]
     for g in groups:
         for _ in range(120):

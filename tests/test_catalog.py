@@ -11,7 +11,6 @@ from symdesign.catalog import (
     CatalogEntry,
     biplane_classes,
     build_biplane,
-    build_classical,
     build_complete,
     build_d64,
     build_s_minus_3,
@@ -21,7 +20,7 @@ from symdesign.catalog import (
     order16_specs,
     run_claims,
 )
-from symdesign.decomp import DecompositionError, check_symmetric_consistency, decompose
+from symdesign.decomp import DecompositionError, decompose
 from symdesign.design import (
     DesignError,
     IncidenceStructure,
@@ -31,7 +30,7 @@ from symdesign.design import (
     is_point_primitive,
     verify_design,
 )
-from symdesign.diffset import RegularAction
+from symdesign.diffset import RegularAction, difference_sets
 from symdesign.enumeration import table_rows
 from symdesign.iso import are_isomorphic
 from symdesign.perm import (
@@ -63,8 +62,7 @@ DIFFERENCE_SET_COUNTS = {
     "C4oD8": 320,
 }
 
-ALL_NAMES = (["d64-1", "d64-2", "s-minus-3", "biplane-1", "biplane-2"]
-             + sorted(catalog._CLASSICAL)
+ALL_NAMES = ([name for name in names() if name != "complete(v,k)"]
              + ["complete(6,3)", "complete(8,7)"])
 
 
@@ -103,7 +101,7 @@ class TestBiplaneSearch:
         got = {}
         for label, group in order16_groups():
             action = RegularAction.from_group(group)
-            got[label] = len(catalog._difference_sets_16_6_2(action))
+            got[label] = len(difference_sets(action, 6, 2))
         assert got == DIFFERENCE_SET_COUNTS
 
     def test_elementary_abelian_counts_match_translate_oracle(self):
@@ -119,7 +117,7 @@ class TestBiplaneSearch:
         label, group = next(
             (l, g) for l, g in order16_groups() if l == "C2^4")
         action = RegularAction.from_group(group)
-        assert catalog._difference_sets_16_6_2(action) == oracle
+        assert difference_sets(action, 6, 2) == oracle
 
     def test_three_isomorphism_classes(self):
         classes = biplane_classes()
@@ -178,16 +176,17 @@ class TestEntries:
         assert "pair" in detail or "DesignError" in detail
 
     def test_unknown_name_raises_with_choices(self):
-        with pytest.raises(ValueError, match="available"):
-            entry("petersen")
-        with pytest.raises(ValueError):
-            build_classical("pg9_9")
+        for name in ("petersen", "pg9_9", "complete(6,6)"):
+            with pytest.raises(ValueError, match="available"):
+                entry(name)
 
     def test_names_lists_every_buildable_entry(self):
         listed = names()
         assert "d64-1" in listed and "biplane-2" in listed
         assert "fano" in listed and "pg5_2_complement" in listed
         assert listed[-1] == "complete(v,k)"
+        for name in listed[:-1]:
+            assert entry(name).name == name
 
     def test_complete_design_dispatch_and_bounds(self):
         e = entry("complete(6,3)")
@@ -246,7 +245,7 @@ class TestDecompositions:
                d.v1, d.k1, d.d1_params.lam, d.d1_params.r, d.d1_params.b,
                d.mu, params.v, params.k, params.lam)
         assert got in self._row_tuples()
-        assert check_symmetric_consistency(d, e.design)
+        assert e.design.b == d.d1_params.b * d.mu
 
     def test_biplane2_decomposition_values(self):
         e = entry("biplane-2")

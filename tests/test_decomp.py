@@ -3,7 +3,7 @@
 import pytest
 
 from symdesign.catalog import DATA_DIR
-from symdesign.decomp import CZDecomposition, DecompositionError, check_symmetric_consistency, decompose
+from symdesign.decomp import DecompositionError, decompose
 from symdesign.design import IncidenceStructure, complement, develop, verify_design
 from symdesign.geometry import build_projective_design, restricted_semilinear_group
 from symdesign.perm import PermGroup, minimal_block_systems, parse_generator_file
@@ -69,7 +69,8 @@ class TestMainExample:
 
     def test_symmetric_consistency(self, decomposed):
         dec, d = decomposed
-        assert check_symmetric_consistency(dec, d)
+        assert d.b == dec.d1_params.b * dec.mu
+        assert dec.params.symmetric == (dec.mu * dec.d1_params.b == dec.params.v)
 
     def test_table_row(self, decomposed):
         dec, _ = decomposed
@@ -100,7 +101,7 @@ class TestFifteenPoints:
         assert dec.lambda0 == 1
         assert dec.d0_params == (3, 3, 2, 2, 1)
         assert dec.d1_params == (5, 5, 4, 4, 3)
-        assert check_symmetric_consistency(dec, d)
+        assert d.b == dec.d1_params.b * dec.mu
         assert dec.table_row() == "3 2 1 2 3 4 | 5 4 3 4 5 | 3"
 
 
@@ -116,7 +117,7 @@ class TestSixtyThreePoints:
         assert dec.lambda0 == 1
         assert dec.lambda1 == 12
         assert dec.d1_params == (21, 21, 16, 16, 12)
-        assert check_symmetric_consistency(dec, d)
+        assert d.b == dec.d1_params.b * dec.mu
 
 
 class TestIdentities:

@@ -1,14 +1,18 @@
 """Difference-set verification, development, and regular-subgroup search."""
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdesign.design import DesignError, IncidenceStructure, develop, \
     induced_block_action, verify_design
 from symdesign.diffset import BudgetExhausted, RegularAction, \
-    develop_difference_set, find_regular_subgroups, is_difference_set
+    develop_difference_set, difference_sets, find_regular_subgroups, \
+    is_difference_set
 from symdesign.iso import automorphism_group
 from symdesign.perm import Perm, PermGroup, parse_generator_file
 
@@ -81,6 +85,58 @@ class TestIsDifferenceSet:
     def test_points_outside_action_rejected(self, translations):
         with pytest.raises(ValueError):
             is_difference_set(translations, {0, 70}, 1)
+
+
+def cyclic(n: int) -> RegularAction:
+    return RegularAction.from_group(
+        PermGroup([Perm(tuple((x + 1) % n for x in range(n)))], n))
+
+
+def brute_force(action: RegularAction, k: int, lam: int) -> list[tuple[int, ...]]:
+    return [d for d in itertools.combinations(range(action.degree), k)
+            if is_difference_set(action, d, lam)[0]]
+
+
+@st.composite
+def small_regular_actions(draw) -> RegularAction:
+    """Right regular representations of Z_a x Z_b or D_2m, of order <= 13."""
+    if draw(st.booleans()):
+        a = draw(st.integers(2, 13))
+        moduli = (a, draw(st.integers(1, 13 // a)))
+        elements = list(itertools.product(range(moduli[0]), range(moduli[1])))
+
+        def mul(x, y):
+            return tuple((p + q) % m for p, q, m in zip(x, y, moduli))
+    else:
+        m = draw(st.integers(2, 6))
+        elements = [(r, s) for r in range(m) for s in range(2)]
+
+        def mul(x, y):
+            # r^m = s^2 = 1, s r s = r^-1
+            return ((x[0] + (y[0] if x[1] == 0 else -y[0])) % m, (x[1] + y[1]) % 2)
+    idx = {e: i for i, e in enumerate(elements)}
+    gens = [Perm(tuple(idx[mul(x, g)] for x in elements)) for g in ((1, 0), (0, 1))]
+    return RegularAction.from_group(PermGroup(gens, len(elements)))
+
+
+class TestDifferenceSets:
+    @pytest.mark.parametrize("n, k, lam, count", [
+        (7, 3, 1, 14), (11, 5, 2, 22), (13, 4, 1, 52), (15, 7, 3, 30),
+        (16, 6, 2, 0)])
+    def test_cyclic_counts_match_brute_force(self, n, k, lam, count):
+        action = cyclic(n)
+        found = difference_sets(action, k, lam)
+        assert len(found) == count
+        assert found == brute_force(action, k, lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), small_regular_actions())
+    def test_matches_brute_force_on_small_groups(self, data, action):
+        n = action.degree
+        k = data.draw(st.sampled_from(
+            [k for k in range(n + 1) if k * (k - 1) % (n - 1) == 0]))
+        lam = k * (k - 1) // (n - 1)
+        assert difference_sets(action, k, lam) == brute_force(action, k, lam)
 
 
 class TestDevelopment:
