@@ -277,9 +277,16 @@ def _symmetric_group(v: int) -> PermGroup:
     return PermGroup(gens, v)
 
 
-def build_complete(v: int, k: int) -> CatalogEntry:
+def _complete_misfit(v: int, k: int) -> str | None:
+    """Why complete(v, k) is out of range, or None."""
     if not 2 <= k <= v - 1 or v > 100:
-        raise ValueError("complete design needs 2 <= k <= v-1 and v <= 100")
+        return "complete design needs 2 <= k <= v-1 and v <= 100"
+    return None
+
+
+def build_complete(v: int, k: int) -> CatalogEntry:
+    if misfit := _complete_misfit(v, k):
+        raise ValueError(misfit)
     design = IncidenceStructure(v, itertools.combinations(range(v), k))
     lam = comb(v - 2, k - 2)
     return CatalogEntry(
@@ -344,14 +351,13 @@ def entry(name: str) -> CatalogEntry:
         claims = {"params": params, "aut_order": group_order(*args[:2]),
                   "flag_transitive": True, "primitive": True}
         return CatalogEntry(name, design, gd.group, claims, note=gd.kind)
-    m = _COMPLETE_RE.match(name.replace(" ", ""))
-    try:
-        if m:
-            return build_complete(int(m.group(1)), int(m.group(2)))
-    except ValueError:  # out-of-range sizes read as an unknown name
-        pass
-    raise ValueError("unknown catalog name %r; available: %s"
-                     % (name, ", ".join(names())))
+    problem = "unknown catalog name %r" % name
+    if m := _COMPLETE_RE.match(name.replace(" ", "")):
+        v, k = int(m.group(1)), int(m.group(2))
+        if not (misfit := _complete_misfit(v, k)):
+            return build_complete(v, k)
+        problem = "catalog name %r is out of range: %s" % (name, misfit)
+    raise ValueError("%s; available: %s" % (problem, ", ".join(names())))
 
 
 def run_claims(e: CatalogEntry) -> list[tuple[str, bool, str]]:

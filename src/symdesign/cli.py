@@ -186,12 +186,8 @@ def _csv_as_json(csv_text: str) -> str:
 def cmd_enumerate(args) -> int:
     if args.symmetric and args.table:
         raise UsageError("--symmetric and --table are mutually exclusive")
-    if args.table:
-        csv_text = render_table(args.table, args.vmax)
-    elif args.symmetric:
-        csv_text = render_table("table5", args.vmax)
-    else:
-        csv_text = render_csv(all_rows(args.vmax))
+    table = args.table or ("table5" if args.symmetric else None)
+    csv_text = render_table(table, args.vmax) if table else render_csv(all_rows(args.vmax))
     if args.format == "csv":
         sys.stdout.write(csv_text)
     elif args.format == "json":

@@ -212,9 +212,7 @@ def is_flag_transitive(s: IncidenceStructure, g: PermGroup) -> bool:
     Every generator must be an automorphism; the flag orbit is grown
     breadth-first and compared against the total flag count.
     """
-    actions = []
-    for p in g.generators:
-        actions.append((p, induced_block_action(s, p)))
+    actions = [(p, induced_block_action(s, p)) for p in g.generators]
     nflags = sum(len(blk) for blk in s.blocks)
     if nflags == 0:
         return False

@@ -143,6 +143,28 @@ def develop_difference_set(action: RegularAction, d: Iterable[int]) -> Incidence
     return IncidenceStructure(n, blocks)
 
 
+def _semiregular(p: Perm) -> bool:
+    """Fixed-point-free with all cycles of one length, as is every
+    non-identity element of a regular group.  The walk leaves at the first
+    cycle whose length differs from that of the cycle through 0."""
+    img = p.img
+    if any(map(eq, img, range(len(img)))):
+        return False
+    seen = [False] * len(img)
+    length = 0
+    for start in range(len(img)):
+        if not seen[start]:
+            x, m = start, 0
+            while not seen[x]:
+                seen[x] = True
+                x = img[x]
+                m += 1
+            if length and m != length:
+                return False
+            length = m
+    return length > 0
+
+
 def find_regular_subgroups(group: PermGroup, limit: int = 1,
                            budget: int = 100_000) -> list[RegularAction]:
     """Up to `limit` regular subgroups of a transitive group, depth-first.
@@ -176,13 +198,6 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
                   key=lambda p: p.img)
 
     points = range(n)
-
-    def shaped(p: Perm) -> bool:
-        # fixed-point-free with cycles of one length, which then divides n;
-        # never the identity, as p sends 0 outside the subgroup's orbit of 0
-        if any(map(eq, p.img, points)):
-            return False
-        return len({len(c) for c in p.cycles()}) == 1
 
     def closure(gens: Sequence[Perm]) -> set[Perm] | None:
         # abandon as soon as the subgroup exceeds n elements or an element
@@ -220,10 +235,10 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
         base_rep = reps[target]
         for s in stab:
             cand = s * base_rep
-            if not shaped(cand):
+            if not _semiregular(cand):
                 continue
             # products with current generators also lie in the subgroup
-            if any(not shaped(g * cand) or not shaped(cand * g) for g in gens):
+            if any(not _semiregular(g * cand) or not _semiregular(cand * g) for g in gens):
                 continue
             nodes += 1
             if nodes > budget:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .design import IncidenceStructure
 from .perm import Perm, PermGroup
@@ -44,17 +45,8 @@ class GF:
         self.inv = [0] + [
             next(b for b in range(1, q) if self.mul[a][b] == 1) for a in range(1, q)
         ]
-        # a generator of the multiplicative group
-        self.primitive = next(
-            a for a in range(1, q)
-            if len({self._pow(a, i) for i in range(1, q)}) == q - 1
-        )
-
-    def _pow(self, a: int, n: int) -> int:
-        r = 1
-        for _ in range(n):
-            r = self.mul[r][a]
-        return r
+        # the least generator of the multiplicative group
+        self.primitive = {2: 1, 3: 2, 4: 2}[q]
 
     def frobenius(self, a: int) -> int:
         """x -> x^p for q = p^e; the identity unless q = 4."""
@@ -192,11 +184,7 @@ def build_projective_design(dim: int, q: int, hyperplanes: bool = False) -> Geom
     if hyperplanes:
         # kernels of the projective functionals x -> sum a_i x_i
         for a in points:
-            blk = [
-                index[p] for p in points
-                if _dot(field, a, p) == 0
-            ]
-            blocks.add(tuple(sorted(blk)))
+            blocks.add(tuple(index[p] for p in points if field.mat_apply([a], p) == (0,)))
     else:
         for i, u in enumerate(points):
             for w in points[i + 1:]:
@@ -223,13 +211,6 @@ def build_projective_design(dim: int, q: int, hyperplanes: bool = False) -> Geom
     return GeometryDesign(kind, dim, q, structure, PermGroup(gens, npoints))
 
 
-def _dot(field: GF, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        acc = field.add[acc][field.mul[x][y]]
-    return acc
-
-
 def restricted_semilinear_group(n: int) -> PermGroup:
     """Semilinear maps of F_4^n acting on the nonzero vectors of F_2^(2n).
 
@@ -247,11 +228,7 @@ def restricted_semilinear_group(n: int) -> PermGroup:
         return tuple((p[2 * i + 1] << 1) | p[2 * i] for i in range(n))
 
     def to_bits(u: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for a in u:
-            out.append(a & 1)
-            out.append(a >> 1)
-        return tuple(out)
+        return tuple(bit for a in u for bit in (a & 1, a >> 1))
 
     gens = []
     for m in _gl_generator_matrices(field, n):
@@ -263,24 +240,16 @@ def restricted_semilinear_group(n: int) -> PermGroup:
     return PermGroup(gens, len(vectors))
 
 
+def _semilinear_order(n: int, q: int) -> int:
+    """|GL_n(q)|, times the field automorphism count 2 for q = 4."""
+    return prod(q ** n - q ** i for i in range(n)) * (2 if q == 4 else 1)
+
+
 def affine_group_order(dim: int, q: int) -> int:
     """|AGL_dim(q)|, times the field automorphism count for q = 4."""
-    gl = 1
-    for i in range(dim):
-        gl *= q ** dim - q ** i
-    order = q ** dim * gl
-    if q == 4:
-        order *= 2
-    return order
+    return q ** dim * _semilinear_order(dim, q)
 
 
 def projective_group_order(dim: int, q: int) -> int:
     """|PGL_{dim+1}(q)|, times the field automorphism count for q = 4."""
-    n = dim + 1
-    gl = 1
-    for i in range(n):
-        gl *= q ** n - q ** i
-    order = gl // (q - 1)
-    if q == 4:
-        order *= 2
-    return order
+    return _semilinear_order(dim + 1, q) // (q - 1)

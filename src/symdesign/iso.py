@@ -8,7 +8,11 @@ smallest vertex of the first smallest non-singleton point cell, and
 candidate paths must reproduce the reference refinement trace exactly.
 
 Refinement is kept cheap as in McKay (1981) and McKay-Piperno (2014): a
-splitter only visits cells of the other side of the bipartite graph; a
+splitter only visits cells of the other side of the bipartite graph; a cell
+that splits queues every fragment but the first largest in count order
+(Hopcroft's rule: counts into the omitted fragment are those into its
+parent minus those into the others, and the tie-break survives
+relabelling), so an individualization queues only the new singleton; a
 candidate is dropped at its first split that differs from the reference
 trace; and a search on the reference graph itself reads the reference
 path's stored colorings instead of refining that path after each restart.
@@ -58,7 +62,7 @@ def _mask(cell: tuple[int, ...]) -> int:
 
 
 def _refine(adj: list[int], cells: list[tuple[int, ...]], splitters: deque[int],
-            v: int, expect: tuple | None = None) -> tuple | None:
+            v: int, expect: tuple | None = None, every: bool = False) -> tuple | None:
     """Refine to equitability; returns the trace of splits performed.
 
     Cells are replaced in place by their fragments, ordered by ascending
@@ -67,6 +71,17 @@ def _refine(adj: list[int], cells: list[tuple[int, ...]], splitters: deque[int],
     v are points; a splitter skips the cells of its own side, which it
     cannot split.  Given expect, returns None as soon as the trace stops
     being a prefix of it, so the caller still compares the whole trace.
+
+    A split queues every fragment but the largest, the first of maximal
+    size in count order, so relabelling cannot change the choice.  A
+    vertex's count into the omitted fragment is its count into the parent
+    cell minus its counts into the queued fragments, and the parent is a
+    splitter, a cell of the equitable coloring refined from, or itself an
+    omitted fragment.  So callers queue only the splitters that break
+    equitability (both root cells, or the one vertex individualized from an
+    equitable coloring), and the result is still the coarsest equitable
+    refinement; only its cell order and the trace depend on the rule.  With
+    every, a split queues all its fragments, as the root refinement does.
     """
     trace = []
     while splitters:
@@ -83,13 +98,14 @@ def _refine(adj: list[int], cells: list[tuple[int, ...]], splitters: deque[int],
                     counts = sorted(groups)
                     parts = [tuple(groups[c]) for c in counts]
                     cells[i:i + 1] = parts
-                    record = (i, tuple(counts), tuple(len(p) for p in parts))
+                    sizes = tuple(map(len, parts))
+                    record = (i, tuple(counts), sizes)
                     if expect is not None and (len(trace) == len(expect)
                                                or expect[len(trace)] != record):
                         return None
                     trace.append(record)
-                    for p in parts:
-                        splitters.append(_mask(p))
+                    largest = -1 if every else sizes.index(max(sizes))
+                    splitters.extend(_mask(p) for j, p in enumerate(parts) if j != largest)
                     i += len(parts)
                     continue
             i += 1
@@ -106,22 +122,20 @@ def _individualize(cells: list[tuple[int, ...]], idx: int,
 
 def _target_cell(cells: list[tuple[int, ...]], v: int) -> int | None:
     """Index of the first smallest non-singleton point cell, if any."""
-    best = None
-    best_size = None
-    for i, cell in enumerate(cells):
-        if len(cell) > 1 and cell[0] < v:
-            if best_size is None or len(cell) < best_size:
-                best, best_size = i, len(cell)
-    return best
+    sized = [(len(c), i) for i, c in enumerate(cells) if len(c) > 1 and c[0] < v]
+    return min(sized)[1] if sized else None
 
 
 def _root(g: _Graph) -> tuple[list[tuple[int, ...]], tuple]:
     """The point/block coloring refined to equitability, and its trace.
 
     A structure without blocks has no block cell: every cell is non-empty.
+    Every fragment is queued here: the trace is the root-trace witness, and
+    the full-queue trace separates some structures that Hopcroft's order
+    does not.
     """
     cells = [c for c in (tuple(range(g.v)), tuple(range(g.v, g.n))) if c]
-    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]), g.v)
+    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]), g.v, None, True)
 
 
 def gf2_rank(s: IncidenceStructure) -> int:
@@ -173,15 +187,14 @@ class _ReferencePath:
     graph, so they are never mutated.
     """
 
-    def __init__(self, g: _Graph, root: tuple[list[tuple[int, ...]], tuple]):
+    def __init__(self, g: _Graph, cells: list[tuple[int, ...]]):
         self.graph = g
-        cells, self.root_trace = root
         self.root_cells = cells
         self.levels: list[tuple[int, int, list[tuple[int, ...]], tuple]] = []
         while (idx := _target_cell(cells, g.v)) is not None:
             u = min(cells[idx])
             cells = _individualize(cells, idx, u)
-            trace = _refine(g.adj, cells, deque([1 << u, _mask(cells[idx + 1])]), g.v)
+            trace = _refine(g.adj, cells, deque([1 << u]), g.v)
             self.levels.append((idx, u, cells, trace))
         self.depth = len(self.levels)
         self.leaf_points = [c[0] for c in cells if c[0] < g.v]
@@ -223,8 +236,7 @@ def _search(ref: _ReferencePath, g: _Graph, cells: list[tuple[int, ...]],
                 branched = ref_cells
             else:
                 branched = _individualize(cells, idx, u)
-                trace = _refine(g.adj, branched, deque([1 << u, _mask(branched[idx + 1])]),
-                                g.v, ref_trace)
+                trace = _refine(g.adj, branched, deque([1 << u]), g.v, ref_trace)
                 if trace != ref_trace:
                     continue
             result = walk(level + 1, branched, kgroup.point_stabilizer(u), stays)
@@ -247,7 +259,7 @@ def automorphism_group(s: IncidenceStructure,
     if s.v > MAX_POINTS:
         raise ValueError("supported up to %d points, got v=%d" % (MAX_POINTS, s.v))
     g = _Graph(s)
-    ref = _ReferencePath(g, _root(g))
+    ref = _ReferencePath(g, _root(g)[0])
     gens: list[Perm] = []
     if known is not None:
         if known.degree != s.v:
@@ -290,7 +302,7 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
     if witness is not None:
         return None
     g1, root1, g2, root2 = roots
-    ref = _ReferencePath(g1, root1)
+    ref = _ReferencePath(g1, root1[0])
     if aut2 is None:
         aut2 = automorphism_group(s2)
 

@@ -180,6 +180,13 @@ class TestEntries:
             with pytest.raises(ValueError, match="available"):
                 entry(name)
 
+    def test_out_of_range_complete_name_gives_the_bounds(self):
+        for name in ("complete(6,6)", "complete(120,3)", "complete(5,1)"):
+            with pytest.raises(ValueError, match=r"k <= v-1 and v <= 100; available: d64-1"):
+                entry(name)
+        with pytest.raises(ValueError, match="^unknown catalog name 'petersen'; available"):
+            entry("petersen")
+
     def test_names_lists_every_buildable_entry(self):
         listed = names()
         assert "d64-1" in listed and "biplane-2" in listed

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +303,27 @@ class TestPipelines:
             capture_output=True, text=True)
         assert result.returncode == 1
         assert "non-isomorphic" in result.stdout
+
+    def test_searches_print_the_same_bytes_under_any_hash_seed(self, tmp_path):
+        """The automorphism search on d64-1 and the exhaustive isomorphism
+        search of s-minus-3 against d64-2 read no set or dict order that
+        string hashing could change."""
+        for name in ("d64-1", "d64-2", "s-minus-3"):
+            assert main(["construct", name, "--out", str(tmp_path / (name + ".json"))]) == 0
+        runs = {}
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            runs[seed] = [subprocess.run(
+                [sys.executable, "-m", "symdesign.cli", *args], env=env,
+                capture_output=True)
+                for args in (["aut", str(tmp_path / "d64-1.json")],
+                             ["iso", str(tmp_path / "s-minus-3.json"),
+                              str(tmp_path / "d64-2.json")])]
+        aut, iso = runs["0"]
+        assert (aut.returncode, iso.returncode) == (0, 1)
+        assert aut.stdout.startswith(b"order 43008\n") and iso.stdout == b"non-isomorphic\n"
+        assert [(r.returncode, r.stdout) for r in runs["0"]] == \
+            [(r.returncode, r.stdout) for r in runs["4242"]]
 
 
 # Malformed input: 0, negative, out-of-range and repeated points, empty blocks

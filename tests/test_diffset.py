@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdesign import diffset
 from symdesign.design import DesignError, IncidenceStructure, develop, \
     induced_block_action, verify_design
 from symdesign.diffset import BudgetExhausted, RegularAction, \
@@ -214,6 +215,28 @@ class TestFindRegularSubgroups:
         g = PermGroup([Perm((1, 0, 2, 3))], 4)
         with pytest.raises(ValueError):
             find_regular_subgroups(g)
+
+
+@st.composite
+def uniform_or_random_perms(draw) -> Perm:
+    """Random permutations, and half the time one whose cycles all have one
+    length d dividing the degree (d = 1 is the identity)."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    points = draw(st.permutations(range(n)))
+    if n and draw(st.booleans()):
+        d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        return Perm.from_cycles([points[i:i + d] for i in range(0, n, d)], n)
+    return Perm(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(uniform_or_random_perms())
+def test_semiregular_walk_matches_the_cycle_type(p):
+    """The early-exit walk agrees with the cycle-type predicate: no fixed
+    point, and one length over Perm.cycles()."""
+    want = (not any(p[x] == x for x in range(p.degree))
+            and len({len(c) for c in p.cycles()}) == 1)
+    assert diffset._semiregular(p) == want
 
 
 @pytest.fixture(scope="module")

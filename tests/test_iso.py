@@ -243,8 +243,9 @@ def test_random_relabeling_always_found(data):
 # -- the refinement kernel ---------------------------------------------------
 
 def naive_refine(adj, cells, splitters):
-    """The reference for the same-side skip: every cell is tried against
-    every splitter, whichever side it is on."""
+    """The oracle for the refinement kernel: every cell is tried against
+    every splitter, whichever side it is on, and a split queues every
+    fragment."""
     trace = []
     while splitters:
         s_mask = splitters.popleft()
@@ -277,7 +278,9 @@ def structures(draw, max_v=9, max_blocks=8):
 
 def refinement_steps(data, s):
     """The root coloring and splitters, then one individualization of a
-    drawn point per level until the coloring is discrete."""
+    drawn point per level until the coloring is discrete.  The splitters
+    are the ones the kernel's callers pass: both root cells, then the
+    individualized point alone."""
     g = iso._Graph(s)
     cells = [c for c in (tuple(range(g.v)), tuple(range(g.v, g.n))) if c]
     splitters = [iso._mask(c) for c in cells]
@@ -289,18 +292,56 @@ def refinement_steps(data, s):
             return
         u = data.draw(st.sampled_from(cells[idx]))
         cells = iso._individualize(cells, idx, u)
-        splitters = [1 << u, iso._mask(cells[idx + 1])]
+        splitters = [1 << u]
+
+
+def is_equitable(adj, cells):
+    """Each vertex of a cell has the same neighbour count into each cell."""
+    masks = [iso._mask(c) for c in cells]
+    return all(len({(adj[u] & m).bit_count() for u in c}) == 1
+               for c in cells for m in masks)
+
+
+def relabel_mask(mask, perm):
+    return iso._mask([perm[x] for x in range(len(perm)) if mask >> x & 1])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), structures())
 def test_same_side_skip_matches_scanning_every_cell(data, s):
+    """Skipping same-side cells and queueing all but the largest fragment
+    keep the coarsest equitable refinement: the cells are the full-queue
+    oracle's as a set partition, each of them equitable, and a relabelled
+    copy refines to the same trace and the relabelled cells."""
     for g, cells, splitters in refinement_steps(data, s):
         naive = list(cells)
-        want = naive_refine(g.adj, naive, deque(splitters))
-        got_cells = list(cells)
-        assert iso._refine(g.adj, got_cells, deque(splitters), g.v) == want
-        assert got_cells == naive
+        naive_refine(g.adj, naive, deque(splitters))
+        got = list(cells)
+        trace = iso._refine(g.adj, got, deque(splitters), g.v)
+        assert set(map(frozenset, got)) == set(map(frozenset, naive))
+        assert is_equitable(g.adj, got)
+        # points stay points and blocks stay blocks
+        perm = (data.draw(st.permutations(range(g.v)))
+                + data.draw(st.permutations(range(g.v, g.n))))
+        adj = [0] * g.n
+        for x, nbrs in enumerate(g.adj):
+            adj[perm[x]] = relabel_mask(nbrs, perm)
+        moved = [tuple(perm[x] for x in c) for c in cells]
+        moved_trace = iso._refine(adj, moved, deque(
+            relabel_mask(m, perm) for m in splitters), g.v)
+        assert moved_trace == trace
+        assert [set(c) for c in moved] == [{perm[x] for x in c} for c in got]
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures())
+def test_root_refinement_queues_every_fragment(s):
+    """The root keeps the full-queue order, so its trace, the root-trace
+    witness, and its cells are the oracle's exactly."""
+    g = iso._Graph(s)
+    cells = [c for c in (tuple(range(g.v)), tuple(range(g.v, g.n))) if c]
+    want = naive_refine(g.adj, cells, deque(iso._mask(c) for c in cells))
+    assert iso._root(g) == (cells, want)
 
 
 @settings(max_examples=150, deadline=None)
