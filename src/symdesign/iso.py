@@ -12,24 +12,25 @@ splitter only visits cells of the other side of the bipartite graph; a cell
 that splits queues every fragment but the first largest in count order
 (Hopcroft's rule: counts into the omitted fragment are those into its
 parent minus those into the others, and the tie-break survives
-relabelling), so an individualization queues only the new singleton; a
-candidate is dropped at its first split that differs from the reference
-trace; and a search on the reference graph itself reads the reference
-path's stored colorings instead of refining that path after each restart.
+relabelling), so an individualization queues only the new singleton; and
+a candidate is dropped at its first split that differs from the reference
+trace.
 
-The automorphism search prunes candidate images by orbit-minimality under
-the group found so far, restarting after each new generator; the same
-pruning drives the isomorphism search, using the target's automorphism
-group.  Cheap invariants come first: non_isomorphism_witness compares the
-point and block counts, block sizes, the GF(2) rank of the incidence matrix
-(Assmus and Key, Designs and their Codes, 1992, ch. 2) and the root
-refinement trace.  When they agree, exhausted search is the
-non-isomorphism certificate; no canonical certificates are produced.
+The automorphism search makes one pass over the reference path's nodes,
+deepest first, pruning candidate images by orbit-minimality under the
+stabilizer of the reference prefix in the group found so far; the
+isomorphism search prunes under the target's automorphism group.  Cheap
+invariants come first: non_isomorphism_witness compares the point and
+block counts, block sizes, the GF(2) rank of the incidence matrix (Assmus
+and Key, Designs and their Codes, 1992, ch. 2) and the root refinement
+trace.  When they agree, exhausted search is the non-isomorphism
+certificate; no canonical certificates are produced.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 
 from .design import IncidenceStructure, carries_blocks
 from .perm import MAX_POINTS, Perm, PermGroup
@@ -135,7 +136,7 @@ def _root(g: _Graph) -> tuple[list[tuple[int, ...]], tuple]:
     does not.
     """
     cells = [c for c in (tuple(range(g.v)), tuple(range(g.v, g.n))) if c]
-    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]), g.v, None, True)
+    return cells, _refine(g.adj, cells, deque([_mask(c) for c in cells]), g.v, every=True)
 
 
 def gf2_rank(s: IncidenceStructure) -> int:
@@ -182,69 +183,55 @@ def non_isomorphism_witness(s1: IncidenceStructure,
 class _ReferencePath:
     """The leftmost individualization path of a graph, computed once.
 
-    Level i is (target cell index, point individualized, refined coloring,
-    trace).  The stored colorings are shared with every search on the
-    graph, so they are never mutated.
+    Node i is (coloring after i individualizations, target cell index,
+    point individualized, trace of the refinement that follows); node 0's
+    coloring is the refined root.  Colorings are shared, never mutated;
+    leaf_points lists the points in the leaf's cell order.
     """
 
     def __init__(self, g: _Graph, cells: list[tuple[int, ...]]):
-        self.graph = g
-        self.root_cells = cells
-        self.levels: list[tuple[int, int, list[tuple[int, ...]], tuple]] = []
+        self.nodes: list[tuple[list[tuple[int, ...]], int, int, tuple]] = []
         while (idx := _target_cell(cells, g.v)) is not None:
             u = min(cells[idx])
-            cells = _individualize(cells, idx, u)
-            trace = _refine(g.adj, cells, deque([1 << u]), g.v)
-            self.levels.append((idx, u, cells, trace))
-        self.depth = len(self.levels)
+            branched = _individualize(cells, idx, u)
+            self.nodes.append((cells, idx, u, _refine(g.adj, branched, deque([1 << u]), g.v)))
+            cells = branched
         self.leaf_points = [c[0] for c in cells if c[0] < g.v]
 
 
-def _leaf_permutation(ref: _ReferencePath, cells: list[tuple[int, ...]],
-                      dst: _Graph) -> list[int]:
-    leaf_points = [c[0] for c in cells if c[0] < dst.v]
-    img = [0] * len(leaf_points)
-    for a, b in zip(ref.leaf_points, leaf_points):
-        img[a] = b
-    return img
-
-
-def _search(ref: _ReferencePath, g: _Graph, cells: list[tuple[int, ...]],
-            known: PermGroup, accept) -> Perm | None:
-    """DFS over candidate images of the reference path, one result per call.
-
-    cells is g's refined root coloring, whose trace matches the reference
-    root trace.  known prunes sibling candidates lying in one orbit of the
-    stabilizer of the images chosen so far; accept(img) decides whether a
-    discrete leaf is a result.  Returns the first accepted leaf permutation,
-    else None.
-    """
-
-    def walk(level: int, cells: list[tuple[int, ...]], kgroup: PermGroup,
-             on_path: bool):
-        if level == ref.depth:
-            img = _leaf_permutation(ref, cells, g)
-            return accept(img)
-        idx, ref_u, ref_cells, ref_trace = ref.levels[level]
-        cell = cells[idx]
-        for u in sorted(cell):
-            orb = kgroup.orbit(u)
-            if orb[0] < u:
-                continue
-            stays = on_path and u == ref_u
-            if stays:
-                branched = ref_cells
-            else:
-                branched = _individualize(cells, idx, u)
-                trace = _refine(g.adj, branched, deque([1 << u]), g.v, ref_trace)
-                if trace != ref_trace:
-                    continue
-            result = walk(level + 1, branched, kgroup.point_stabilizer(u), stays)
-            if result is not None:
-                return result
+def _child(ref: _ReferencePath, g: _Graph, level: int, cells: list[tuple[int, ...]],
+           u: int, group: PermGroup, accept) -> Perm | None:
+    """The first accepted leaf below the child u of a node at this level;
+    None at once when group, the stabilizer of the images chosen above,
+    maps a smaller point to u, or when u's refinement leaves the reference
+    trace."""
+    if group.orbit(u)[0] < u:
         return None
+    _, idx, _, trace = ref.nodes[level]
+    branched = _individualize(cells, idx, u)
+    if _refine(g.adj, branched, deque([1 << u]), g.v, trace) != trace:
+        return None
+    return _search(ref, g, level + 1, branched, group.point_stabilizer(u), accept)
 
-    return walk(0, cells, known, g is ref.graph)
+
+def _search(ref: _ReferencePath, g: _Graph, level: int, cells: list[tuple[int, ...]],
+            group: PermGroup, accept) -> Perm | None:
+    """DFS over g's candidate images of the reference path below a level.
+
+    cells is g's coloring at that level, reached along a path whose traces
+    match the reference path's; group prunes as in _child; accept(img)
+    decides whether the point map of a discrete leaf is a result.  Returns
+    the first accepted leaf permutation, else None.
+    """
+    if level == len(ref.nodes):
+        img = [0] * g.v
+        for a, cell in zip(ref.leaf_points, (c for c in cells if c[0] < g.v)):
+            img[a] = cell[0]
+        return accept(img)
+    for u in sorted(cells[ref.nodes[level][1]]):
+        if (found := _child(ref, g, level, cells, u, group, accept)) is not None:
+            return found
+    return None
 
 
 def automorphism_group(s: IncidenceStructure,
@@ -253,32 +240,44 @@ def automorphism_group(s: IncidenceStructure,
 
     A known subgroup may be passed as a starting point.  Only its generators
     that carry the block multiset onto itself are used, so a wrong hint can
-    cost speed but cannot put a non-automorphism into the result.  Each
-    generator the search finds extends the chain of the group found so far.
+    cost speed but cannot put a non-automorphism into the result.
+
+    One pass over the reference path's nodes, deepest first: below each
+    child but the reference one, _search looks for an automorphism outside
+    the group found so far, pruning with the stabilizer of the node's
+    reference prefix in that group.  A new automorphism extends the group
+    and the pass goes on with the node's next child.  Going back to the
+    root would find nothing before that child: each subtree in between was
+    exhausted with a smaller group, which prunes less and accepts more.
     """
     if s.v > MAX_POINTS:
         raise ValueError("supported up to %d points, got v=%d" % (MAX_POINTS, s.v))
     g = _Graph(s)
     ref = _ReferencePath(g, _root(g)[0])
-    gens: list[Perm] = []
-    if known is not None:
-        if known.degree != s.v:
-            raise ValueError("known subgroup degree mismatch")
-        gens = [p for p in known.generators if carries_blocks(p.img, s.blocks, s.blocks)]
-    kgroup = PermGroup(gens, s.v)
-    while True:
-        def accept(img: list[int]) -> Perm | None:
-            p = Perm(img)
-            if kgroup.contains(p):
-                return None
-            if carries_blocks(img, s.blocks, s.blocks):
-                return p
-            return None
+    if known is not None and known.degree != s.v:
+        raise ValueError("known subgroup degree mismatch")
+    group = PermGroup([p for p in (known.generators if known is not None else ())
+                       if carries_blocks(p.img, s.blocks, s.blocks)], s.v)
 
-        new = _search(ref, g, ref.root_cells, kgroup, accept)
-        if new is None:
-            return kgroup
-        kgroup = kgroup.extend(new)
+    def accept(img: list[int]) -> Perm | None:
+        p = Perm(img)
+        if group.contains(p) or not carries_blocks(img, s.blocks, s.blocks):
+            return None
+        return p
+
+    def prefix_stabilizers(level: int) -> list[PermGroup]:
+        return list(accumulate((node[2] for node in ref.nodes[:level]),
+                               PermGroup.point_stabilizer, initial=group))
+
+    stabs = prefix_stabilizers(len(ref.nodes) - 1)
+    for level in reversed(range(len(ref.nodes))):
+        cells, idx, ref_u, _ = ref.nodes[level]
+        for u in sorted(cells[idx]):
+            if u != ref_u and (new := _child(ref, g, level, cells, u, stabs[level],
+                                             accept)) is not None:
+                group = group.extend(new)
+                stabs = prefix_stabilizers(level)
+    return group
 
 
 def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
@@ -307,8 +306,6 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
         aut2 = automorphism_group(s2)
 
     def accept(img: list[int]) -> Perm | None:
-        if carries_blocks(img, s1.blocks, s2.blocks):
-            return Perm(img)
-        return None
+        return Perm(img) if carries_blocks(img, s1.blocks, s2.blocks) else None
 
-    return _search(ref, g2, root2[0], aut2, accept)
+    return _search(ref, g2, 0, root2[0], aut2, accept)

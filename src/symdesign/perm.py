@@ -87,9 +87,6 @@ class Perm:
     def __getitem__(self, x: int) -> int:
         return self.img[x]
 
-    def __call__(self, x: int) -> int:
-        return self.img[x]
-
     def __mul__(self, other: "Perm") -> "Perm":
         # apply self first, then other
         oi = other.img

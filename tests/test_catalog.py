@@ -1,6 +1,7 @@
 """Catalog entries: constructions, claim checks, and cross-module identities."""
 
 import hashlib
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from symdesign import catalog
 from symdesign.catalog import (
     B1,
     B2,
+    COMPLETE_BLOCK_LIMIT,
     CatalogEntry,
     biplane_classes,
     build_biplane,
@@ -186,6 +188,19 @@ class TestEntries:
                 entry(name)
         with pytest.raises(ValueError, match="^unknown catalog name 'petersen'; available"):
             entry("petersen")
+
+    def test_complete_name_over_the_block_limit_is_out_of_range(self):
+        """complete(20,10) has 184,756 blocks and stays buildable; the next
+        sizes up are refused before any block is built."""
+        assert comb(20, 10) <= COMPLETE_BLOCK_LIMIT < comb(21, 10)
+        assert not catalog._complete_misfit(20, 10)
+        for v, k in ((21, 10), (22, 11), (40, 20), (100, 50)):
+            with pytest.raises(ValueError, match=r"^catalog name 'complete\(%d,%d\)' is out of "
+                               r"range: complete\(%d,%d\) has more than 200000 blocks; "
+                               r"available" % (v, k, v, k)):
+                entry("complete(%d,%d)" % (v, k))
+            with pytest.raises(ValueError, match="more than 200000 blocks"):
+                build_complete(v, k)
 
     def test_names_lists_every_buildable_entry(self):
         listed = names()

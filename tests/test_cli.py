@@ -203,6 +203,14 @@ class TestConstructAndClaims:
         assert main(["construct", "petersen"]) == 2
         assert "available" in capsys.readouterr().err
 
+    def test_construct_too_many_blocks_is_a_usage_error(self, capsys):
+        """complete(40,20) would have 137,846,528,820 blocks; it is refused
+        as out of range instead of running out of memory."""
+        assert main(["construct", "complete(40,20)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range: complete(40,20) has more than 200000 blocks" in captured.err
+
     def test_claims_report(self, capsys):
         assert main(["claims", "fano"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,9 @@
 """Tests for isomorphism testing and automorphism groups of structures."""
 
+import operator
 import random
 from collections import deque
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from symdesign import iso
 from symdesign.catalog import DATA_DIR, biplane_classes, entry
-from symdesign.design import IncidenceStructure, complement, develop, induced_block_action
+from symdesign.design import IncidenceStructure, carries_blocks, complement, develop, \
+    induced_block_action
 from symdesign.geometry import build_affine_design, build_projective_design
 from symdesign.iso import are_isomorphic, automorphism_group
 from symdesign.perm import Perm, PermGroup, parse_generator_file
@@ -372,21 +375,46 @@ def test_guided_refinement_stops_only_off_the_expected_trace(data, s, other):
     assert (guided == expect) == (unguided == expect)
 
 
-def test_aut_search_reuses_the_reference_path(monkeypatch):
-    """The reference path of d64-1 is 7 refinements (the root and 6
-    levels).  The search makes 10 passes, one per generator found and a
-    last that finds none; each pass reads the path's colorings instead of
-    refining them again, so Aut(d64-1) makes 175 refinements, not 245."""
+def test_aut_search_makes_one_pass_over_the_reference_path(monkeypatch):
+    """The reference path of d64-1 is 7 refinements: the root and 6
+    levels, the only calls without an expected trace.  The search walks
+    that path once, deepest node first, and goes on with a node's next
+    child after each of its 9 generators, so Aut(d64-1) makes 87 candidate
+    refinements, 94 in all (175 when it restarted from the root after each
+    generator)."""
     calls = []
     refine = iso._refine
 
-    def counting(*args):
-        calls.append(1)
-        return refine(*args)
+    def counting(adj, cells, splitters, v, expect=None, **kwargs):
+        calls.append(expect is not None)
+        return refine(adj, cells, splitters, v, expect, **kwargs)
 
     monkeypatch.setattr(iso, "_refine", counting)
     assert iso.automorphism_group(entry("d64-1").design).order() == 43008
-    assert len(calls) == 175
+    assert (calls.count(False), calls.count(True)) == (7, 87)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), structures(max_v=7))
+def test_automorphism_group_matches_brute_force_with_any_hint(data, s):
+    """The order is the number of block-preserving point maps and every
+    generator carries the blocks.  A hint of random words in the unhinted
+    generators gives the same order and stays in the group.  Such a hint
+    moves the reference path's points, so the prefix stabilizers are
+    proper subgroups from the first node on: pruning with the whole group
+    instead lost automorphisms here, and a hint of unhinted generators
+    alone did not show it."""
+    brute = oracles.isomorphisms(s.v, list(s.blocks), list(s.blocks))
+    full = automorphism_group(s)
+    assert full.order() == len(brute)
+    assert all(carries_blocks(p.img, s.blocks, s.blocks) for p in full.generators)
+    words = data.draw(st.lists(st.lists(st.sampled_from(full.generators), min_size=1,
+                                        max_size=6), max_size=3)) if full.generators else []
+    hint = PermGroup([reduce(operator.mul, word) for word in words], s.v)
+    hinted = automorphism_group(s, hint)
+    assert hinted.order() == len(brute)
+    assert all(hinted.contains(p) for p in hint.generators)
+    assert all(carries_blocks(p.img, s.blocks, s.blocks) for p in hinted.generators)
 
 
 # -- cheap invariants and non-isomorphism witnesses ---------------------------
@@ -446,8 +474,8 @@ def test_rank_rejection_runs_no_search(monkeypatch):
     calls = []
     for name in ("_refine", "automorphism_group"):
         real = getattr(iso, name)
-        monkeypatch.setattr(iso, name, lambda *a, name=name, real=real:
-                            calls.append(name) or real(*a))
+        monkeypatch.setattr(iso, name, lambda *a, name=name, real=real, **k:
+                            calls.append(name) or real(*a, **k))
     d1, d2 = entry("d64-1").design, entry("d64-2").design
     assert are_isomorphic(d1, d2) is None
     assert calls == []
