@@ -249,7 +249,10 @@ def design_to_json(s: IncidenceStructure) -> str:
 
 
 def design_from_json(text: str) -> IncidenceStructure:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("design JSON is nested too deeply") from None
     if not isinstance(obj, dict) or "v" not in obj or "blocks" not in obj:
         raise ValueError("design JSON must be an object with 'v' and 'blocks'")
     v, blocks = obj["v"], obj["blocks"]

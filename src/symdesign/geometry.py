@@ -41,7 +41,6 @@ class GF:
         else:
             self.add = [[(a + b) % q for b in range(q)] for a in range(q)]
             self.mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        self.neg = [next(b for b in range(q) if self.add[a][b] == 0) for a in range(q)]
         self.inv = [0] + [
             next(b for b in range(1, q) if self.mul[a][b] == 1) for a in range(1, q)
         ]

@@ -95,23 +95,8 @@ class Perm:
     def inv(self) -> "Perm":
         return _perm(_inverse(self.img))
 
-    def __pow__(self, n: int) -> "Perm":
-        if n < 0:
-            return self.inv() ** (-n)
-        result = Perm.identity(self.degree)
-        p = self
-        while n:
-            if n & 1:
-                result = result * p
-            p = p * p
-            n >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return self.img == tuple(range(len(self.img)))
-
-    def moved(self) -> list[int]:
-        return [x for x, y in enumerate(self.img) if x != y]
 
     def min_moved(self) -> int | None:
         for x, y in enumerate(self.img):

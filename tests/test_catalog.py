@@ -1,6 +1,7 @@
 """Catalog entries: constructions, claim checks, and cross-module identities."""
 
 import hashlib
+import json
 from math import comb
 
 import pytest
@@ -32,7 +33,7 @@ from symdesign.design import (
     is_point_primitive,
     verify_design,
 )
-from symdesign.diffset import RegularAction, difference_sets
+from symdesign.diffset import RegularAction, develop_difference_set, difference_sets
 from symdesign.enumeration import table_rows
 from symdesign.iso import are_isomorphic
 from symdesign.perm import (
@@ -44,6 +45,16 @@ from symdesign.perm import (
 
 GENERATOR_FILE_SHA256 = \
     "72029aac7da24038e2cc228d2103873202cb18c9a6e7b3c926f133358ddb3ac6"
+
+# sha256 digests recorded before the order-16 groups were read from one
+# presentation table: the generator images of the fourteen regular
+# representations, and the two biplane entries' design JSON
+REGULAR_REPS_SHA256 = \
+    "57729afc35e76d630d7442b42e3630cc6674149bf868691ef8ee0560f6699027"
+BIPLANE_JSON_SHA256 = {
+    "biplane-1": "09c5158f10cccbb0a3bb4bafd15907ee8f0fcae15932fca549a1c6906b920098",
+    "biplane-2": "21c2c5322f611415d79c4027548b152e7c175f40ccc20284f573df7a0c64d05a",
+}
 
 # per-group hit counts of the exhaustive 6-subset scan; the two zeros are
 # the classical non-existence cases among the fourteen groups of order 16
@@ -97,6 +108,11 @@ class TestOrder16Groups:
             seen[inv] = label
         assert len(seen) == 14
 
+    def test_regular_representations_are_pinned(self):
+        images = json.dumps([[label, [list(g.img) for g in group.generators]]
+                             for label, group in order16_groups()])
+        assert hashlib.sha256(images.encode()).hexdigest() == REGULAR_REPS_SHA256
+
 
 class TestBiplaneSearch:
     def test_difference_set_counts_per_group(self):
@@ -147,6 +163,35 @@ class TestBiplaneSearch:
         assert len(calls) == 3
         assert [aut.order() for _, aut in classes] == [11520, 768, 384]
 
+    def test_one_development_per_representative(self, monkeypatch):
+        # only sets through the base point are developed, and only the 3
+        # class founders are re-checked as difference sets
+        calls = {"develop": 0, "check": 0}
+
+        def counting(key, real):
+            def wrapped(*args):
+                calls[key] += 1
+                return real(*args)
+            return wrapped
+
+        monkeypatch.setattr(catalog, "develop_difference_set",
+                            counting("develop", catalog.develop_difference_set))
+        monkeypatch.setattr(catalog, "is_difference_set",
+                            counting("check", catalog.is_difference_set))
+        biplane_classes.__wrapped__()
+        assert calls == {"develop": 1248, "check": 3}
+
+    def test_smallest_blocks_through_base_match_distinct_developments(self):
+        for label, group in order16_groups():
+            action = RegularAction.from_group(group)
+            found = difference_sets(action, 6, 2)
+            blocks = {d: frozenset(develop_difference_set(action, d).blocks)
+                      for d in found}
+            reps = [d for d in found if action.base in d and d == min(blocks[d])]
+            distinct = set(blocks.values())
+            assert len(reps) == len(distinct), label
+            assert {blocks[d] for d in reps} == distinct, label
+
     def test_exactly_two_classes_are_flag_transitive(self):
         from symdesign.design import is_flag_transitive
         flags = [is_flag_transitive(dev, aut) for dev, aut in biplane_classes()]
@@ -155,6 +200,11 @@ class TestBiplaneSearch:
     def test_builder_rejects_other_indices(self):
         with pytest.raises(ValueError):
             build_biplane(3)
+
+    @pytest.mark.parametrize("name", sorted(BIPLANE_JSON_SHA256))
+    def test_biplane_designs_are_pinned(self, name):
+        text = design_to_json(entry(name).design)
+        assert hashlib.sha256(text.encode()).hexdigest() == BIPLANE_JSON_SHA256[name]
 
 
 class TestEntries:

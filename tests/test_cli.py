@@ -88,6 +88,8 @@ class TestVerify:
         '{"v": 7, "blocks": "abc"}',
         '{"v": 7, "blocks": [[true,2,4]]}',
         '{"v": 101, "blocks": [[%s]]}' % ",".join(str(x) for x in range(1, 102)),
+        pytest.param('{"v": 3, "blocks": %s}' % ("[" * 100_000 + "]" * 100_000),
+                     id="nested-100000-deep"),
     ])
     def test_ill_typed_design_is_usage_error(self, capsys, tmp_path, text):
         assert main(["verify", write(tmp_path, "typed.json", text)]) == 2
