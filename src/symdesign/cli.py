@@ -200,7 +200,10 @@ def cmd_enumerate(args) -> int:
 def cmd_construct(args) -> int:
     text = design_to_json(entry(args.name).design)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as err:
+            raise UsageError("cannot write %s: %s" % (args.out, err))
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

@@ -5,6 +5,12 @@ polynomial x^2 + x + 1, with 2 and 3 standing for the two primitive elements.
 Points of a geometry are coordinate tuples ordered lexicographically, and
 projective representatives are normalized so the first nonzero coordinate
 is 1.  Everything downstream relies on this ordering being stable.
+
+Every design here is flag-transitive, so it is built as the orbit of one
+flat under its semilinear group (AGammaL on affine space, PGammaL on
+projective space): design.develop of the group's generators and a base
+block.  _semilinear_maps is the one list of GammaL generators, shared with
+restricted_semilinear_group.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .design import IncidenceStructure
+from .design import IncidenceStructure, develop
 from .perm import Perm, PermGroup
 
 
@@ -53,53 +59,31 @@ class GF:
             return self.mul[a][a]
         return a
 
-    def vec_add(self, u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.add[a][b] for a, b in zip(u, w))
-
-    def vec_scale(self, c: int, u: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.mul[c][a] for a in u)
-
-    def mat_apply(self, m: list[list[int]], u: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for row in m:
-            acc = 0
-            for c, a in zip(row, u):
-                acc = self.add[acc][self.mul[c][a]]
-            out.append(acc)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class GeometryDesign:
     kind: str  # AG-lines | AG-planes | PG-lines | PG-hyperplanes
-    dim: int
-    q: int
     structure: IncidenceStructure
     group: PermGroup
 
 
-def _gl_generator_matrices(field: GF, n: int) -> list[list[list[int]]]:
-    """Row-operation generators of GL(n, q): scaling, swap, cycle, transvection."""
+def _semilinear_maps(field: GF, n: int) -> list:
+    """Generators of GammaL(n, q) as maps of coordinate tuples.
 
-    def eye() -> list[list[int]]:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    mats = []
-    scale = eye()
-    scale[0][0] = field.primitive
-    mats.append(scale)
+    Scaling of the first coordinate by the primitive element, swap of the
+    first two, the transvection adding the second to the first, the cyclic
+    shift, then the Frobenius map when q = 4.
+    """
+    add, mul, prim = field.add, field.mul, field.primitive
+    maps = [lambda p: (mul[prim][p[0]],) + p[1:]]
     if n >= 2:
-        swap = eye()
-        swap[0][0] = swap[1][1] = 0
-        swap[0][1] = swap[1][0] = 1
-        mats.append(swap)
-        trans = eye()
-        trans[0][1] = 1
-        mats.append(trans)
+        maps.append(lambda p: (p[1], p[0]) + p[2:])
+        maps.append(lambda p: (add[p[0]][p[1]],) + p[1:])
     if n >= 3:
-        cycle = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-        mats.append(cycle)
-    return mats
+        maps.append(lambda p: p[1:] + p[:1])
+    if field.q == 4:
+        maps.append(lambda p: tuple(map(field.frobenius, p)))
+    return maps
 
 
 def _perm_from_point_map(points: list[tuple[int, ...]], fn) -> Perm:
@@ -108,9 +92,12 @@ def _perm_from_point_map(points: list[tuple[int, ...]], fn) -> Perm:
 
 
 def build_affine_design(dim: int, q: int, block_dim: int) -> GeometryDesign:
-    """Cosets of block_dim-dimensional subspaces of F_q^dim as blocks.
+    """The block_dim-flats of AG(dim, q), developed under AGammaL(dim, q).
 
-    Lines over F_2 have only two points, so q = 2 requires block_dim = 2.
+    The group is generated by the unit translations and the GammaL maps;
+    the base block is the subspace of points whose coordinates past
+    block_dim are zero.  Lines over F_2 have only two points, so q = 2
+    requires block_dim = 2.
     """
     field = GF(q)
     if not 1 <= block_dim < dim:
@@ -120,44 +107,14 @@ def build_affine_design(dim: int, q: int, block_dim: int) -> GeometryDesign:
     if q ** dim > 100:
         raise ValueError("q^dim = %d exceeds the supported size" % q ** dim)
 
-    points: list[tuple[int, ...]] = sorted(product(range(q), repeat=dim))
-    index = {p: i for i, p in enumerate(points)}
-    zero = tuple([0] * dim)
-
-    # subspaces of the requested dimension, as sets of vectors
-    nonzero = [p for p in points if p != zero]
-    subspaces: set[frozenset[tuple[int, ...]]] = set()
-    if block_dim == 1:
-        for d in nonzero:
-            subspaces.add(frozenset(field.vec_scale(c, d) for c in range(q)))
-    else:
-        for u in nonzero:
-            for w in nonzero:
-                span = frozenset(
-                    field.vec_add(field.vec_scale(a, u), field.vec_scale(b, w))
-                    for a in range(q) for b in range(q)
-                )
-                if len(span) == q * q:
-                    subspaces.add(span)
-
-    blocks: set[tuple[int, ...]] = set()
-    for sub in subspaces:
-        for p in points:
-            blocks.add(tuple(sorted(index[field.vec_add(p, s)] for s in sub)))
-    structure = IncidenceStructure(q ** dim, sorted(blocks))
-
-    gens = []
-    for i in range(dim):
-        e = tuple(1 if j == i else 0 for j in range(dim))
-        gens.append(_perm_from_point_map(points, lambda p, e=e: field.vec_add(p, e)))
-    for m in _gl_generator_matrices(field, dim):
-        gens.append(_perm_from_point_map(points, lambda p, m=m: field.mat_apply(m, p)))
-    if q == 4:
-        gens.append(_perm_from_point_map(
-            points, lambda p: tuple(field.frobenius(a) for a in p)))
-
+    points = list(product(range(q), repeat=dim))
+    translations = [lambda p, i=i: p[:i] + (field.add[p[i]][1],) + p[i + 1:]
+                    for i in range(dim)]
+    gens = [_perm_from_point_map(points, fn)
+            for fn in translations + _semilinear_maps(field, dim)]
+    base = [i for i, p in enumerate(points) if not any(p[block_dim:])]
     kind = "AG-lines" if block_dim == 1 else "AG-planes"
-    return GeometryDesign(kind, dim, q, structure, PermGroup(gens, len(points)))
+    return GeometryDesign(kind, develop(gens, base), PermGroup(gens, len(points)))
 
 
 def _normalize_projective(field: GF, p: tuple[int, ...]) -> tuple[int, ...]:
@@ -166,48 +123,26 @@ def _normalize_projective(field: GF, p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def build_projective_design(dim: int, q: int, hyperplanes: bool = False) -> GeometryDesign:
-    """Lines (or hyperplanes) of PG_dim(q) on its projective points."""
+    """Lines (or hyperplanes) of PG(dim, q), developed under PGammaL(dim+1, q).
+
+    The base block is the line of points whose coordinates past the second
+    are zero, or the hyperplane of points whose first coordinate is zero.
+    """
     field = GF(q)
-    n = dim + 1
-    npoints = (q ** n - 1) // (q - 1)
+    if dim < 1:
+        raise ValueError("need dim >= 1")
+    npoints = (q ** (dim + 1) - 1) // (q - 1)
     if npoints > 100:
         raise ValueError("point count %d exceeds the supported size" % npoints)
 
-    zero = tuple([0] * n)
-    vectors = [p for p in sorted(product(range(q), repeat=n)) if p != zero]
-    points = sorted({_normalize_projective(field, p) for p in vectors})
-    index = {p: i for i, p in enumerate(points)}
-    assert len(points) == npoints
-
-    blocks: set[tuple[int, ...]] = set()
-    if hyperplanes:
-        # kernels of the projective functionals x -> sum a_i x_i
-        for a in points:
-            blocks.add(tuple(index[p] for p in points if field.mat_apply([a], p) == (0,)))
-    else:
-        for i, u in enumerate(points):
-            for w in points[i + 1:]:
-                line = {
-                    _normalize_projective(
-                        field, field.vec_add(field.vec_scale(a, u), field.vec_scale(b, w)))
-                    for a in range(q) for b in range(q)
-                    if not (a == 0 and b == 0)
-                }
-                blocks.add(tuple(sorted(index[p] for p in line)))
-    structure = IncidenceStructure(npoints, sorted(blocks))
-
-    def proj_map(fn):
-        return _perm_from_point_map(
-            points, lambda p: _normalize_projective(field, fn(p)))
-
-    gens = []
-    for m in _gl_generator_matrices(field, n):
-        gens.append(proj_map(lambda p, m=m: field.mat_apply(m, p)))
-    if q == 4:
-        gens.append(proj_map(lambda p: tuple(field.frobenius(a) for a in p)))
-
+    points = [p for p in product(range(q), repeat=dim + 1)
+              if any(p) and _normalize_projective(field, p) == p]
+    gens = [_perm_from_point_map(points, lambda p, fn=fn: _normalize_projective(field, fn(p)))
+            for fn in _semilinear_maps(field, dim + 1)]
+    base = [i for i, p in enumerate(points)
+            if (p[0] == 0 if hyperplanes else not any(p[2:]))]
     kind = "PG-hyperplanes" if hyperplanes else "PG-lines"
-    return GeometryDesign(kind, dim, q, structure, PermGroup(gens, npoints))
+    return GeometryDesign(kind, develop(gens, base), PermGroup(gens, npoints))
 
 
 def restricted_semilinear_group(n: int) -> PermGroup:
@@ -218,10 +153,7 @@ def restricted_semilinear_group(n: int) -> PermGroup:
     whole group embeds in GL(2n, 2).  Point order matches the projective
     builder over F_2 (all nonzero binary vectors, lexicographic).
     """
-    field = GF(4)
-    vectors = [p for p in sorted(product(range(2), repeat=2 * n))
-               if any(p)]
-    index = {p: i for i, p in enumerate(vectors)}
+    vectors = [p for p in product(range(2), repeat=2 * n) if any(p)]
 
     def to_gf4(p: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((p[2 * i + 1] << 1) | p[2 * i] for i in range(n))
@@ -229,14 +161,8 @@ def restricted_semilinear_group(n: int) -> PermGroup:
     def to_bits(u: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(bit for a in u for bit in (a & 1, a >> 1))
 
-    gens = []
-    for m in _gl_generator_matrices(field, n):
-        gens.append(Perm(tuple(
-            index[to_bits(field.mat_apply(m, to_gf4(p)))] for p in vectors)))
-    gens.append(Perm(tuple(
-        index[to_bits(tuple(field.frobenius(a) for a in to_gf4(p)))]
-        for p in vectors)))
-    return PermGroup(gens, len(vectors))
+    return PermGroup([_perm_from_point_map(vectors, lambda p, fn=fn: to_bits(fn(to_gf4(p))))
+                      for fn in _semilinear_maps(GF(4), n)], len(vectors))
 
 
 def _semilinear_order(n: int, q: int) -> int:

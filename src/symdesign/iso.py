@@ -284,7 +284,8 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
                    aut2: PermGroup | None = None) -> Perm | None:
     """A point bijection carrying s1's blocks onto s2's, or None.
 
-    None at once when non_isomorphism_witness has a witness; otherwise the
+    The identity at once when the two have the same block multiset, None
+    at once when non_isomorphism_witness has a witness; otherwise the
     search is exhaustive over the pruned refinement tree, so None is a
     proof.  The search skips branches equivalent under aut2, the target's
     automorphism group, computed here unless the caller passes it.  A
@@ -297,6 +298,8 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
     if aut2 is not None and (aut2.degree != s2.v or not all(
             carries_blocks(p.img, s2.blocks, s2.blocks) for p in aut2.generators)):
         raise ValueError("aut2 is not a group of automorphisms of s2")
+    if s1 == s2:
+        return Perm.identity(s1.v)
     witness, roots = _compare(s1, s2)
     if witness is not None:
         return None

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from symdesign.cli import main
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "symdesign" / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = SRC / "symdesign" / "data"
 TABLES = Path(__file__).resolve().parents[1] / "tables"
 
 FANO_JSON = ('{"v": 7, "blocks": [[1,2,3],[1,4,5],[1,6,7],[2,4,6],'
@@ -29,6 +30,13 @@ def fano_file(tmp_path):
     path = tmp_path / "fano.json"
     path.write_text(FANO_JSON)
     return str(path)
+
+
+def run_cli(*args, env=None, **kwargs):
+    """The CLI in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "symdesign.cli", *args], env=env, **kwargs)
 
 
 def write(tmp_path, name, text):
@@ -201,6 +209,12 @@ class TestConstructAndClaims:
         assert main(["verify", out]) == 0
         assert "2-(13,4,1)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out", ["missing/fano.json", "."])
+    def test_construct_unwritable_out_is_a_usage_error(self, capsys, tmp_path, out):
+        """A missing directory or a directory as --out exits 2, not 3."""
+        assert main(["construct", "fano", "--out", str(tmp_path / out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_construct_unknown_name(self, capsys):
         assert main(["construct", "petersen"]) == 2
         assert "available" in capsys.readouterr().err
@@ -292,25 +306,19 @@ class TestPipelines:
     """The documented shell pipelines, run through real processes."""
 
     def test_construct_pipe_verify(self):
-        construct = subprocess.run(
-            [sys.executable, "-m", "symdesign.cli", "construct", "d64-1"],
-            capture_output=True, text=True, check=True)
-        verify = subprocess.run(
-            [sys.executable, "-m", "symdesign.cli", "verify", "-"],
-            input=construct.stdout, capture_output=True, text=True)
+        construct = run_cli("construct", "d64-1", capture_output=True, text=True,
+                            check=True)
+        verify = run_cli("verify", "-", input=construct.stdout, capture_output=True,
+                         text=True)
         assert verify.returncode == 0
         assert "2-(64,28,12)" in verify.stdout
 
     def test_iso_of_the_two_developments_exits_one(self, tmp_path):
         for h in ("1", "2"):
-            subprocess.run(
-                [sys.executable, "-m", "symdesign.cli", "construct",
-                 "d64-%s" % h, "--out", str(tmp_path / ("d%s.json" % h))],
-                check=True)
-        result = subprocess.run(
-            [sys.executable, "-m", "symdesign.cli", "iso",
-             str(tmp_path / "d1.json"), str(tmp_path / "d2.json")],
-            capture_output=True, text=True)
+            run_cli("construct", "d64-%s" % h, "--out", str(tmp_path / ("d%s.json" % h)),
+                    check=True)
+        result = run_cli("iso", str(tmp_path / "d1.json"), str(tmp_path / "d2.json"),
+                         capture_output=True, text=True)
         assert result.returncode == 1
         assert "non-isomorphic" in result.stdout
 
@@ -323,12 +331,10 @@ class TestPipelines:
         runs = {}
         for seed in ("0", "4242"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
-            runs[seed] = [subprocess.run(
-                [sys.executable, "-m", "symdesign.cli", *args], env=env,
-                capture_output=True)
-                for args in (["aut", str(tmp_path / "d64-1.json")],
-                             ["iso", str(tmp_path / "s-minus-3.json"),
-                              str(tmp_path / "d64-2.json")])]
+            runs[seed] = [run_cli(*args, env=env, capture_output=True)
+                          for args in (["aut", str(tmp_path / "d64-1.json")],
+                                       ["iso", str(tmp_path / "s-minus-3.json"),
+                                        str(tmp_path / "d64-2.json")])]
         aut, iso = runs["0"]
         assert (aut.returncode, iso.returncode) == (0, 1)
         assert aut.stdout.startswith(b"order 43008\n") and iso.stdout == b"non-isomorphic\n"

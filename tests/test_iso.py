@@ -479,3 +479,17 @@ def test_rank_rejection_runs_no_search(monkeypatch):
     d1, d2 = entry("d64-1").design, entry("d64-2").design
     assert are_isomorphic(d1, d2) is None
     assert calls == []
+
+
+def test_equal_block_multisets_give_the_identity_without_search(monkeypatch):
+    """A block-shuffled copy is the same structure, so the identity comes
+    back before any refinement or automorphism search."""
+    calls = []
+    real = iso._refine
+    monkeypatch.setattr(iso, "_refine", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name in ("biplane-1", "fano", "d64-1"):
+        s = entry(name).design
+        blocks = list(s.blocks)
+        random.Random(7).shuffle(blocks)
+        assert are_isomorphic(IncidenceStructure(s.v, blocks), s) == Perm.identity(s.v)
+    assert calls == []
