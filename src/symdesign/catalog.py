@@ -1,20 +1,21 @@
 """Named designs with embedded construction data and verified claims.
 
 One ordered table lists the catalog: the paper's five entries, then one
-row per classical geometry; entry() also builds complete(v,k).  Each entry
-carries the design, the group it was built with, and a claims record
-(parameters, automorphism group order, transitivity properties) that
-run_claims re-checks from scratch.  The two 64-point developments are read
-from the generator strings shipped in data/, the third 64-point design
-comes from an elliptic quadratic form, and the 16-point biplanes fall out
-of diffset.difference_sets over the regular representations of all
-fourteen groups of order 16, each one row of presentation parameters under
-one product rule.  Each development is examined once, at its smallest
-block, which is in the lexicographic list of difference sets and holds the
-base point; only a class founder is re-checked as a difference set, and
-every other development maps onto one through a checked point map.  Three
-designs arise, and the two whose full automorphism groups are
-flag-transitive are the ones carried here.
+row per classical geometry.  Every row is a builder, its arguments and the
+entry's claims; a builder returns the design and the group it was built
+with, and entry() turns a row, or a complete(v,k) name, into a
+CatalogEntry.  The claims (parameters, automorphism group order,
+transitivity properties) are re-checked from scratch by run_claims.  The
+two 64-point developments are read from the generator strings shipped in
+data/, the third 64-point design comes from an elliptic quadratic form,
+and the 16-point biplanes fall out of diffset.difference_sets over the
+regular representations of all fourteen groups of order 16, each one row
+of presentation parameters under one product rule.  Each development is
+examined once, at its smallest block, which is in the lexicographic list
+of difference sets and holds the base point; only a class founder is
+re-checked as a difference set, and every other development maps onto one
+through a checked point map.  Three designs arise, and the two whose full
+automorphism groups are flag-transitive are the ones carried here.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class CatalogEntry:
     design: IncidenceStructure
     group: PermGroup
     claims: dict = field(default_factory=dict)
-    note: str = ""
 
 
 @lru_cache(maxsize=None)
@@ -77,28 +77,11 @@ def _embedded_group() -> tuple[int, tuple[Perm, ...]]:
     return degree, tuple(gens)
 
 
-def build_d64(h: int) -> CatalogEntry:
+def _d64(h: int) -> tuple[IncidenceStructure, PermGroup]:
     """Development of base block B1 or B2 under the order-43008 group."""
-    if h not in (1, 2):
-        raise ValueError("h must be 1 or 2")
     degree, gens = _embedded_group()
-    base = B1 if h == 1 else B2
-    group = PermGroup(list(gens), degree)
-    design = develop(list(gens), [p - 1 for p in base])
-    return CatalogEntry(
-        name="d64-%d" % h,
-        design=design,
-        group=group,
-        claims={
-            "params": (64, 28, 12),
-            "aut_order": 43008,
-            "flag_transitive": True,
-            "primitive": False,
-            "class_shape": (8, 8),
-            "subdegrees": (1, 7, 56),
-        },
-        note="base block development over an invariant 8x8 partition",
-    )
+    base = [p - 1 for p in (B1, B2)[h - 1]]
+    return develop(list(gens), base), PermGroup(list(gens), degree)
 
 
 def _quadric_zero_set() -> list[int]:
@@ -117,26 +100,15 @@ def _boolean_translations(dim: int) -> PermGroup:
     return PermGroup(gens, n)
 
 
-def build_s_minus_3() -> CatalogEntry:
-    """Development of an elliptic quadric's zero set under translations."""
+def _s_minus_3() -> tuple[IncidenceStructure, PermGroup]:
+    """Development of an elliptic quadric's zero set under translations;
+    the group is the point-regular translation group, not a flag-transitive
+    subgroup."""
     action = RegularAction.from_group(_boolean_translations(6))
     zeros = _quadric_zero_set()
     ok, report = is_difference_set(action, zeros, 12)
     assert ok, report
-    design = develop_difference_set(action, zeros)
-    return CatalogEntry(
-        name="s-minus-3",
-        design=design,
-        group=action.group,
-        claims={
-            "params": (64, 28, 12),
-            "aut_order": 92897280,
-            "flag_transitive": False,
-            "primitive": False,
-        },
-        note="the carried group is the point-regular translation group, "
-             "not a flag-transitive subgroup",
-    )
+    return develop_difference_set(action, zeros), action.group
 
 
 # Presentations (label, letter orders, r, s, t, u): letter a has order m and
@@ -223,35 +195,25 @@ def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
     return tuple(classes)
 
 
-_BIPLANE_CLAIMS = {
-    1: {"params": (16, 6, 2), "aut_order": 11520,
-        "flag_transitive": True, "primitive": True},
-    2: {"params": (16, 6, 2), "aut_order": 768,
-        "flag_transitive": True, "primitive": False},
-}
-
-
-def build_biplane(h: int) -> CatalogEntry:
-    """One of the two flag-transitive 2-(16,6,2) designs, largest group first."""
-    if h not in (1, 2):
-        raise ValueError("h must be 1 or 2")
+def _biplane(h: int) -> tuple[IncidenceStructure, PermGroup]:
+    """One of the two flag-transitive 2-(16,6,2) designs, largest group
+    first, with its full automorphism group."""
     flagged = [(dev, aut) for dev, aut in biplane_classes()
                if is_flag_transitive(dev, aut)]
     assert len(flagged) == 2, "expected exactly two flag-transitive biplanes"
-    dev, aut = flagged[h - 1]
-    return CatalogEntry(
-        name="biplane-%d" % h,
-        design=dev,
-        group=aut,
-        claims=dict(_BIPLANE_CLAIMS[h]),
-        note="difference-set development in a group of order 16; the carried "
-             "group is the full automorphism group",
-    )
+    return flagged[h - 1]
 
 
-def _symmetric_group(v: int) -> PermGroup:
+def _geometry(builder, args: tuple, complemented: bool = False):
+    """A classical design with its semilinear group, or its complement."""
+    gd = builder(*args)
+    return complement(gd.structure) if complemented else gd.structure, gd.group
+
+
+def _complete(v: int, k: int) -> tuple[IncidenceStructure, PermGroup]:
+    """All k-subsets, under the symmetric group."""
     gens = [Perm.from_cycles([(0, 1)], v), Perm(tuple((x + 1) % v for x in range(v)))]
-    return PermGroup(gens, v)
+    return IncidenceStructure(v, itertools.combinations(range(v), k)), PermGroup(gens, v)
 
 
 def _complete_misfit(v: int, k: int) -> str | None:
@@ -263,53 +225,47 @@ def _complete_misfit(v: int, k: int) -> str | None:
     return None
 
 
-def build_complete(v: int, k: int) -> CatalogEntry:
-    if misfit := _complete_misfit(v, k):
-        raise ValueError(misfit)
-    design = IncidenceStructure(v, itertools.combinations(range(v), k))
-    lam = comb(v - 2, k - 2)
-    return CatalogEntry(
-        name="complete(%d,%d)" % (v, k),
-        design=design,
-        group=_symmetric_group(v),
-        claims={
-            "params": (v, k, lam),
-            "aut_order": factorial(v),
-            "flag_transitive": True,
-            "primitive": True,
-        },
-        note="all k-subsets",
-    )
+def _claims(params: tuple, aut_order: int, flag_transitive: bool = True,
+            primitive: bool = True, **more) -> dict:
+    """An entry's claims; most entries are flag-transitive and primitive."""
+    return dict(params=params, aut_order=aut_order, flag_transitive=flag_transitive,
+                primitive=primitive, **more)
 
 
-# The catalog in listing order.  A paper entry is its builder and the
-# builder's arguments.  A geometry row adds (v, k, lambda), the function of
-# the builder's (dim, q) that gives its group's order, and whether the
-# entry is the complement of the geometry's design.
+# The catalog in listing order: name -> (builder, its arguments, claims).
 _TABLE = {
-    "d64-1": (build_d64, (1,)),
-    "d64-2": (build_d64, (2,)),
-    "s-minus-3": (build_s_minus_3, ()),
-    "biplane-1": (build_biplane, (1,)),
-    "biplane-2": (build_biplane, (2,)),
-    "ag2_3": (build_affine_design, (2, 3, 1), (9, 3, 1), affine_group_order, False),
-    "ag2_3_complement": (build_affine_design, (2, 3, 1), (9, 6, 5),
-                         affine_group_order, True),
-    "ag2_4_lines": (build_affine_design, (2, 4, 1), (16, 4, 1), affine_group_order, False),
-    "ag3_2_planes": (build_affine_design, (3, 2, 2), (8, 4, 3), affine_group_order, False),
-    "fano": (build_projective_design, (2, 2), (7, 3, 1), projective_group_order, False),
-    "fano_complement": (build_projective_design, (2, 2), (7, 4, 2),
-                        projective_group_order, True),
-    "pg2_3": (build_projective_design, (2, 3), (13, 4, 1), projective_group_order, False),
-    "pg2_3_complement": (build_projective_design, (2, 3), (13, 9, 6),
-                         projective_group_order, True),
-    "pg2_4": (build_projective_design, (2, 4), (21, 5, 1), projective_group_order, False),
-    "pg2_4_complement": (build_projective_design, (2, 4), (21, 16, 12),
-                         projective_group_order, True),
-    "pg5_2_complement": (build_projective_design, (5, 2, True), (63, 32, 16),
-                         projective_group_order, True),
-    "pg5_2_hyperplanes": (build_projective_design, (5, 2, True), (63, 31, 15),
-                          projective_group_order, False),
+    "d64-1": (_d64, (1,), _claims((64, 28, 12), 43008, primitive=False,
+                                  class_shape=(8, 8), subdegrees=(1, 7, 56))),
+    "d64-2": (_d64, (2,), _claims((64, 28, 12), 43008, primitive=False,
+                                  class_shape=(8, 8), subdegrees=(1, 7, 56))),
+    "s-minus-3": (_s_minus_3, (), _claims((64, 28, 12), 92897280,
+                                          flag_transitive=False, primitive=False)),
+    "biplane-1": (_biplane, (1,), _claims((16, 6, 2), 11520)),
+    "biplane-2": (_biplane, (2,), _claims((16, 6, 2), 768, primitive=False)),
+    "ag2_3": (_geometry, (build_affine_design, (2, 3, 1)),
+              _claims((9, 3, 1), affine_group_order(2, 3))),
+    "ag2_3_complement": (_geometry, (build_affine_design, (2, 3, 1), True),
+                         _claims((9, 6, 5), affine_group_order(2, 3))),
+    "ag2_4_lines": (_geometry, (build_affine_design, (2, 4, 1)),
+                    _claims((16, 4, 1), affine_group_order(2, 4))),
+    "ag3_2_planes": (_geometry, (build_affine_design, (3, 2, 2)),
+                     _claims((8, 4, 3), affine_group_order(3, 2))),
+    "fano": (_geometry, (build_projective_design, (2, 2)),
+             _claims((7, 3, 1), projective_group_order(2, 2))),
+    "fano_complement": (_geometry, (build_projective_design, (2, 2), True),
+                        _claims((7, 4, 2), projective_group_order(2, 2))),
+    "pg2_3": (_geometry, (build_projective_design, (2, 3)),
+              _claims((13, 4, 1), projective_group_order(2, 3))),
+    "pg2_3_complement": (_geometry, (build_projective_design, (2, 3), True),
+                         _claims((13, 9, 6), projective_group_order(2, 3))),
+    "pg2_4": (_geometry, (build_projective_design, (2, 4)),
+              _claims((21, 5, 1), projective_group_order(2, 4))),
+    "pg2_4_complement": (_geometry, (build_projective_design, (2, 4), True),
+                         _claims((21, 16, 12), projective_group_order(2, 4))),
+    "pg5_2_complement": (_geometry, (build_projective_design, (5, 2, True), True),
+                         _claims((63, 32, 16), projective_group_order(5, 2))),
+    "pg5_2_hyperplanes": (_geometry, (build_projective_design, (5, 2, True)),
+                          _claims((63, 31, 15), projective_group_order(5, 2))),
 }
 
 _COMPLETE_RE = re.compile(r"^complete\((\d+),(\d+)\)$")
@@ -320,88 +276,70 @@ def names() -> list[str]:
 
 
 def entry(name: str) -> CatalogEntry:
-    if name in _TABLE:
-        builder, args, *geometry = _TABLE[name]
-        if not geometry:
-            return builder(*args)
-        params, group_order, complemented = geometry
-        gd = builder(*args)
-        design = complement(gd.structure) if complemented else gd.structure
-        claims = {"params": params, "aut_order": group_order(*args[:2]),
-                  "flag_transitive": True, "primitive": True}
-        return CatalogEntry(name, design, gd.group, claims, note=gd.kind)
-    problem = "unknown catalog name %r" % name
-    if m := _COMPLETE_RE.match(name.replace(" ", "")):
+    row, problem = _TABLE.get(name), "unknown catalog name %r" % name
+    if row is None and (m := _COMPLETE_RE.match(name.replace(" ", ""))):
         v, k = int(m.group(1)), int(m.group(2))
-        if not (misfit := _complete_misfit(v, k)):
-            return build_complete(v, k)
-        problem = "catalog name %r is out of range: %s" % (name, misfit)
-    raise ValueError("%s; available: %s" % (problem, ", ".join(names())))
+        if misfit := _complete_misfit(v, k):
+            problem = "catalog name %r is out of range: %s" % (name, misfit)
+        else:
+            name = "complete(%d,%d)" % (v, k)
+            row = (_complete, (v, k), _claims((v, k, comb(v - 2, k - 2)), factorial(v)))
+    if row is None:
+        raise ValueError("%s; available: %s" % (problem, ", ".join(names())))
+    builder, args, claims = row
+    design, group = builder(*args)
+    return CatalogEntry(name, design, group, dict(claims))
 
 
 def run_claims(e: CatalogEntry) -> list[tuple[str, bool, str]]:
     """Re-check every claim of an entry; failures become report lines."""
-    report: list[tuple[str, bool, str]] = []
-
-    def check(label: str, fn) -> None:
-        try:
-            ok, detail = fn()
-        except Exception as err:  # a broken claim must not stop the rest
-            ok, detail = False, "%s: %s" % (type(err).__name__, err)
-        report.append((label, bool(ok), detail))
-
     claims = e.claims
-    if "params" in claims:
-        def _params():
-            dp = verify_design(e.design)
-            want = tuple(claims["params"])
-            return (dp.v, dp.k, dp.lam) == want, str(dp)
-        check("params", _params)
 
-    def _acts():
+    def params():
+        dp = verify_design(e.design)
+        return (dp.v, dp.k, dp.lam) == tuple(claims["params"]), str(dp)
+
+    def group_acts():
         for g in e.group.generators:
             induced_block_action(e.design, g)
         return True, "%d generators preserve the block multiset" % len(
             e.group.generators)
-    check("group_acts", _acts)
 
-    if "flag_transitive" in claims:
-        def _flags():
-            got = is_flag_transitive(e.design, e.group)
-            return got == claims["flag_transitive"], "flag_transitive=%s" % got
-        check("flag_transitive", _flags)
+    def matches(label, test):
+        got = test(e.design, e.group)
+        return got == claims[label], "%s=%s" % (label, got)
 
-    if "primitive" in claims:
-        def _prim():
-            got = is_point_primitive(e.design, e.group)
-            return got == claims["primitive"], "primitive=%s" % got
-        check("primitive", _prim)
+    def class_shape():
+        want = tuple(claims["class_shape"])
+        shapes = sorted({(len(sys), len(sys[0]))
+                         for sys in minimal_block_systems(e.group)})
+        return want in shapes, "minimal class shapes %s" % shapes
 
-    if "class_shape" in claims:
-        def _classes():
-            want = tuple(claims["class_shape"])
-            shapes = sorted({(len(sys), len(sys[0]))
-                             for sys in minimal_block_systems(e.group)})
-            return want in shapes, "minimal class shapes %s" % shapes
-        check("class_shape", _classes)
+    def subdegrees():
+        _, got = rank_and_subdegrees(e.group)
+        return got == tuple(claims["subdegrees"]), "subdegrees %s" % (got,)
 
-    if "subdegrees" in claims:
-        def _subdeg():
-            _, got = rank_and_subdegrees(e.group)
-            return got == tuple(claims["subdegrees"]), "subdegrees %s" % (got,)
-        check("subdegrees", _subdeg)
-
-    if "aut_order" in claims:
+    def aut_order():
         want = int(claims["aut_order"])
-        if want <= AUT_ORDER_LIMIT:
-            def _aut():
-                known = e.group if e.group.order() > 1 else None
-                got = automorphism_group(e.design, known=known).order()
-                return got == want, "|Aut| = %d" % got
-            check("aut_order", _aut)
-        else:
-            report.append(("aut_order", True,
-                           "claimed order %d above the %d computation limit, "
-                           "not recomputed" % (want, AUT_ORDER_LIMIT)))
+        if want > AUT_ORDER_LIMIT:
+            return True, ("claimed order %d above the %d computation limit, "
+                          "not recomputed" % (want, AUT_ORDER_LIMIT))
+        known = e.group if e.group.order() > 1 else None
+        got = automorphism_group(e.design, known=known).order()
+        return got == want, "|Aut| = %d" % got
 
+    checks = [("params", params), ("group_acts", group_acts),
+              ("flag_transitive", lambda: matches("flag_transitive", is_flag_transitive)),
+              ("primitive", lambda: matches("primitive", is_point_primitive)),
+              ("class_shape", class_shape), ("subdegrees", subdegrees),
+              ("aut_order", aut_order)]
+    report: list[tuple[str, bool, str]] = []
+    for label, check in checks:
+        if label != "group_acts" and label not in claims:
+            continue
+        try:
+            ok, detail = check()
+        except Exception as err:  # a broken claim must not stop the rest
+            ok, detail = False, "%s: %s" % (type(err).__name__, err)
+        report.append((label, bool(ok), detail))
     return report

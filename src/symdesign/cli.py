@@ -361,9 +361,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    for attr in ("vmax", "limit", "budget"):
+    for attr, flag in (("vmax", "vmax"), ("limit", "limit"), ("budget", "budget"),
+                       ("lam", "lambda")):
         if getattr(args, attr, 1) < 0:
-            print("error: --%s must not be negative" % attr, file=sys.stderr)
+            print("error: --%s must not be negative" % flag, file=sys.stderr)
             return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)

@@ -21,6 +21,7 @@ from .design import (
     is_flag_transitive,
     verify_design,
 )
+from .enumeration import complete_inner
 from .perm import PermGroup
 
 
@@ -169,7 +170,7 @@ def decompose(s: IncidenceStructure, g: PermGroup,
             % ((v1 - 1) * v0 * (k0 - 1), (k1 - 1) * k0 * (v0 - 1))
         )
 
-    if k0 == v0 - 1 and k0 >= 3:
+    if complete_inner(v0, k0):
         lambda0 = None  # the inner structure is read as a symmetric 1-design
     else:
         lambda0 = d0_params.lam

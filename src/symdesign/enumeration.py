@@ -165,7 +165,7 @@ def _sort_key(row: ParamRow) -> tuple[int, int, int, int, int]:
     return (row.v0, row.k0, row.v1, row.lambda1, row.lambda0)
 
 
-def _complete_inner(v0: int, k0: int) -> bool:
+def complete_inner(v0: int, k0: int) -> bool:
     """Whether the inner design is the complete one on k0 = v0 - 1 >= 3 points."""
     return k0 == v0 - 1 and k0 >= 3
 
@@ -174,7 +174,7 @@ def _shape(row: ParamRow) -> int:
     """0 for k0 = 2, 1 for a complete inner design on k0 = v0 - 1 >= 3, else 2."""
     if row.k0 == 2:
         return 0
-    return 1 if _complete_inner(row.v0, row.k0) else 2
+    return 1 if complete_inner(row.v0, row.k0) else 2
 
 
 def _make_row(v0: int, k0: int, lambda0: int,
@@ -199,7 +199,7 @@ def _make_row(v0: int, k0: int, lambda0: int,
     lam = Fraction(lambda1 * k0 * k0, v0 * v0)
     r = Fraction(r1 * k0, v0)
     theta_num, theta_den = lam.numerator, lam.denominator * lambda0
-    if not _complete_inner(v0, k0):
+    if not complete_inner(v0, k0):
         g = gcd(theta_num, theta_den)
         theta_num, theta_den = theta_num // g, theta_den // g
     condition = lcm(lam.denominator, r.denominator, theta_den)
@@ -236,7 +236,7 @@ def all_rows(vmax: int = 100) -> list[ParamRow]:
                     continue
                 if k0 == 2:
                     lambda0s = [1]
-                elif _complete_inner(v0, k0):
+                elif complete_inner(v0, k0):
                     lambda0s = [v0 - 2]
                 else:
                     lambda0s = [lam for lam, _ in INNER_DESIGNS[(v0, k0)]]
@@ -258,7 +258,7 @@ def symmetric_filter(rows: list[ParamRow]) -> list[ParamRow]:
     for row in rows:
         if row.mu_s is None:
             continue
-        if _complete_inner(row.v0, row.k0):
+        if complete_inner(row.v0, row.k0):
             continue
         assert row.b_at(row.mu_s) == row.v
         assert row.r_at(row.mu_s) == row.k

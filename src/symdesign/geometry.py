@@ -62,7 +62,6 @@ class GF:
 
 @dataclass(frozen=True)
 class GeometryDesign:
-    kind: str  # AG-lines | AG-planes | PG-lines | PG-hyperplanes
     structure: IncidenceStructure
     group: PermGroup
 
@@ -113,8 +112,7 @@ def build_affine_design(dim: int, q: int, block_dim: int) -> GeometryDesign:
     gens = [_perm_from_point_map(points, fn)
             for fn in translations + _semilinear_maps(field, dim)]
     base = [i for i, p in enumerate(points) if not any(p[block_dim:])]
-    kind = "AG-lines" if block_dim == 1 else "AG-planes"
-    return GeometryDesign(kind, develop(gens, base), PermGroup(gens, len(points)))
+    return GeometryDesign(develop(gens, base), PermGroup(gens, len(points)))
 
 
 def _normalize_projective(field: GF, p: tuple[int, ...]) -> tuple[int, ...]:
@@ -141,8 +139,7 @@ def build_projective_design(dim: int, q: int, hyperplanes: bool = False) -> Geom
             for fn in _semilinear_maps(field, dim + 1)]
     base = [i for i, p in enumerate(points)
             if (p[0] == 0 if hyperplanes else not any(p[2:]))]
-    kind = "PG-hyperplanes" if hyperplanes else "PG-lines"
-    return GeometryDesign(kind, develop(gens, base), PermGroup(gens, npoints))
+    return GeometryDesign(develop(gens, base), PermGroup(gens, npoints))
 
 
 def restricted_semilinear_group(n: int) -> PermGroup:

@@ -13,7 +13,7 @@ import oracles
 import table_fixture
 from test_enumeration import as_fixture_tuple, as_symmetric_tuple
 
-from symdesign.catalog import build_d64, build_s_minus_3, entry, run_claims
+from symdesign.catalog import entry, run_claims
 from symdesign.decomp import decompose
 from symdesign.design import (
     IncidenceStructure,
@@ -63,7 +63,7 @@ def report(criterion: int, elapsed: float, detail: str) -> None:
 
 def test_criterion_01_generated_group_order():
     clock = Clock(5.0)
-    group = build_d64(1).group
+    group = entry("d64-1").group
     order = group.order()
     assert order == 43008
     report(1, clock.check(), "|<g1..g9>| = %d" % order)
@@ -72,7 +72,7 @@ def test_criterion_01_generated_group_order():
 def test_criterion_02_developments_are_flag_transitive_imprimitive():
     clock = Clock(10.0)
     for h in (1, 2):
-        e = build_d64(h)
+        e = entry("d64-%d" % h)
         params = verify_design(e.design)
         assert (params.v, params.b, params.k, params.r, params.lam) == \
             (64, 64, 28, 28, 12)
@@ -89,8 +89,8 @@ def test_criterion_02_developments_are_flag_transitive_imprimitive():
 
 
 def test_criterion_03_full_automorphism_groups_and_non_isomorphism():
-    d1 = build_d64(1)
-    d2 = build_d64(2)
+    d1 = entry("d64-1")
+    d2 = entry("d64-2")
     orders = []
     for e in (d1, d2):
         clock = Clock(60.0)
@@ -105,7 +105,7 @@ def test_criterion_03_full_automorphism_groups_and_non_isomorphism():
 
 def test_criterion_04_quadric_design_and_third_class():
     clock = Clock(300.0)
-    e = build_s_minus_3()
+    e = entry("s-minus-3")
     action = RegularAction.from_group(e.group)
     zeros = sorted(e.design.blocks[0])
     ok, _ = is_difference_set(action, zeros, 12)
@@ -115,7 +115,7 @@ def test_criterion_04_quadric_design_and_third_class():
     aut = automorphism_group(e.design, known=e.group)
     assert aut.order() == 92897280
     for h in (1, 2):
-        assert are_isomorphic(e.design, build_d64(h).design) is None
+        assert are_isomorphic(e.design, entry("d64-%d" % h).design) is None
     report(4, clock.check(),
            "difference set ok, |Aut| = 92897280, distinct from both "
            "developments")
@@ -124,7 +124,7 @@ def test_criterion_04_quadric_design_and_third_class():
 def test_criterion_05_decomposition_identities():
     clock = Clock(5.0)
     for h in (1, 2):
-        e = build_d64(h)
+        e = entry("d64-%d" % h)
         sigma = [s for s in minimal_block_systems(e.group)
                  if (len(s), len(s[0])) == (8, 8)][0]
         d = decompose(e.design, e.group, sigma)
@@ -179,7 +179,7 @@ def test_criterion_07_classical_catalog_claims():
 
 def test_criterion_08_regular_subgroup_recovers_development():
     clock = Clock(300.0)
-    e = build_d64(1)
+    e = entry("d64-1")
     aut = automorphism_group(e.design, known=e.group)
     found = find_regular_subgroups(aut, limit=1)
     assert found, "no regular subgroup within budget"
@@ -211,7 +211,7 @@ def test_criterion_09_oracle_suites():
     groups = [entry("fano").group,
               entry("ag3_2_planes").group,
               entry("pg2_3").group,
-              build_d64(1).group,
+              entry("d64-1").group,
               PermGroup([Perm(tuple((x + 1) % 7 for x in range(7)))], 7)]
     for g in groups:
         want = g.order()
@@ -268,7 +268,7 @@ def test_criterion_10_randomized_property_invariants():
         cases += 2
 
     for h in (1, 2):
-        e = build_d64(h)
+        e = entry("d64-%d" % h)
         sigma = [s for s in minimal_block_systems(e.group)
                  if (len(s), len(s[0])) == (8, 8)][0]
         d = decompose(e.design, e.group, sigma)
@@ -282,7 +282,7 @@ def test_criterion_10_randomized_property_invariants():
               entry("ag2_3").group,
               entry("pg2_3").group,
               entry("ag2_4_lines").group,
-              build_d64(1).group]
+              entry("d64-1").group]
     for g in groups:
         for _ in range(120):
             p = rng.randrange(g.degree)

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import re
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -13,16 +15,13 @@ from symdesign.catalog import (
     COMPLETE_BLOCK_LIMIT,
     CatalogEntry,
     biplane_classes,
-    build_biplane,
-    build_complete,
-    build_d64,
-    build_s_minus_3,
     entry,
     names,
     order16_groups,
     order16_specs,
     run_claims,
 )
+from symdesign.cli import main
 from symdesign.decomp import DecompositionError, decompose
 from symdesign.design import (
     DesignError,
@@ -77,6 +76,106 @@ DIFFERENCE_SET_COUNTS = {
 
 ALL_NAMES = ([name for name in names() if name != "complete(v,k)"]
              + ["complete(6,3)", "complete(8,7)"])
+
+# sha256 digests of [exit code, stdout, stderr] of `construct NAME`, `claims
+# NAME` and `claims NAME --format json`, recorded before every catalog row
+# took the one (builder, args, claims) shape: every listed name, complete
+# designs on each side of the |Aut| computation limit (16! is above it),
+# and the two refusal texts
+CLI_SHA256 = {
+    "d64-1": (
+        "e86e5d5ec8dc6dea79779cee7ad1c78b0fbd1c1e5c47c0f7882da04359d4db7e",
+        "c50144390a2457edab1ddc8238ee9c41d20096b1ea0402bff9d00d5a764ab479",
+        "771f88032575e42376ef58a0b8f1d234d28c31c40b55479291f75143be26c795"),
+    "d64-2": (
+        "68fd336e495e0999683c79a155f5f3e598a85c07f8b486c2fed6f7bae260588a",
+        "c50144390a2457edab1ddc8238ee9c41d20096b1ea0402bff9d00d5a764ab479",
+        "771f88032575e42376ef58a0b8f1d234d28c31c40b55479291f75143be26c795"),
+    "s-minus-3": (
+        "61b490d2ec66219e833073a17c90406f08f34124d8bd53916a22c62e6dd70ad2",
+        "84655703481339000a75236ea362dd6b0e1170ad670502e811399c4d5f1eb377",
+        "8c8d9f9844bc3793b68d554dbb605e91627d57b8cfdf3eb576db859844622e05"),
+    "biplane-1": (
+        "6fa3db52dc252cf31d4b3ff0fe1cffe849c6314f7c01473dcf3d1a4efb5b652b",
+        "2c55492e89201c21cf15f05e74548646adcdd2ebfdd72a70c7787314425c2bb6",
+        "46d06c08bb04a3e7f916f73a87219dc81cd9e6a6d8f9ac12fa5208a910ae0ae0"),
+    "biplane-2": (
+        "65c5ccd24df4bc03466bf09431961ac13ca621f1da88f371325eb4ffbb18b745",
+        "4a577702cca8c3fec496b9b47df75c9103d9b4fbe47534e6998c14c07013d1d2",
+        "eea3641f0b3dc70092250048be47852c03c150d2fae6dc7da4aa4473dd9cbaf1"),
+    "ag2_3": (
+        "0e41a008afc036d52623af5e2a73fa882e9d987476efbcbfd88361734c4c54d6",
+        "894192a2cc089fa00e64483695ada3fb466f69d06c6ca048faad2a6725b86486",
+        "8ed5f782459f0fb71cc4db6c271857e9fed53bd3a64bd93c936bcdb5cec7bd71"),
+    "ag2_3_complement": (
+        "4df81020d19a88aed7f7af5ab8d6b3b1b75dc5d7d99eef4b0ee6645105fb3f5b",
+        "93e80880a60ea1f9947c1f35f111b60cc04cc33bb0ea8eba9db48ebec0ca97e0",
+        "0c9956f43c8394ae57b5cbc0504f61ed7b9be0423a819c2686575077a70b4c1c"),
+    "ag2_4_lines": (
+        "850d153100765cd9157f250cbbce6492dd3bec374beeaf7df901767a9c9de30a",
+        "7bd4d8d5353263ff60da4da90c34f042c2d6ae51ef09a81b5b19fae737edf08f",
+        "466617199e71602093297912a2cad8ff362772481d42327f7759f9e5b69c5b06"),
+    "ag3_2_planes": (
+        "694b93b9f2c781cbe0624692c6ead56cc23f7fcaea876906140b8eab73433eeb",
+        "a886d5ed73fbed65e0ba59f6f95f6576c72ac8be13d91db6cdf1ff51d7e6085d",
+        "dbb164de8bd717ebcfafa0463f0125e0a78c707b03785cda1d757febfb533022"),
+    "fano": (
+        "291c824fb1811552cdca39058c3ce795751abe3b92d91b6f9822a899b9d9daf5",
+        "7045503094895f48bc6e85679f774574fd621af9f1b3d170405b78f12d5a4bd0",
+        "583b18b3f90c7c3a9cb0a2190050ec6453ddbccebac03cec3334074f2fe6dffc"),
+    "fano_complement": (
+        "f10b4f2248ed11e5faeb3a6b4b5e74fe83059ef9283a113d935818f6984a3aa7",
+        "4bcc102f61dbbc69f700e5b18953ea8fb4110838ee1cd0fa7c0710f4f9dfab5f",
+        "8a6efd88632c62d1650d8e634e2714f22d3218d56b1fa0dd22c4d61d1969b0af"),
+    "pg2_3": (
+        "e7106f5cc006522254099b1cfcfa10f31609cf09cca06c4d252f1323797c70ad",
+        "fb213a0ec51bbdd27631e450dd562dca4956271157b123d85836ba174eceefe8",
+        "1af736c90a03440c7a3227488461598b99d8d04eb679b705c2337af6ec7837ea"),
+    "pg2_3_complement": (
+        "5e154b54c5970f4d9e22c14ca9b3388c6f73a82ead60e35cf51b50ab4101bd59",
+        "bfe9e6eee8f31e77911661c74ba39542b7d7444f2a4561c31491c3ee85fe70c7",
+        "d903e092945f125e3e4f8039e5e1997e83f48c4b7760eb862e7bd82eb99c6575"),
+    "pg2_4": (
+        "201a77efd137bf21378735d0a5b62d9f1d9d50ef345362c94fd1fb669943484a",
+        "516221cda1ed28d2881f2c513d50fc23cfd3f9668bc1987752c44e52b8ddabc3",
+        "48885bf4ceef520626ebb4dd9296029f20da0566a5449fc069b9ac11b603bd19"),
+    "pg2_4_complement": (
+        "9aa91a5f9bae6c339528ac51b5c9f4455d1b35d8ec16d4fac545e72b5cf14500",
+        "897c14e0930421d5446b9878741f08877073b741f3059aa9fe75ce20b7a38b53",
+        "6f4be3cd5e508ac72c08df7fb474c800a49d5950e8660e576ed77d5e9d78047a"),
+    "pg5_2_complement": (
+        "f8b951085df7d60c6f5f10c761fa28fe41e53d062664d46c73b2f9a5a41cb142",
+        "fdec5664fa748e8f9ace0b1e03900c3c1e9e68dc3d32e3e4b40eb3bfcf96c6c3",
+        "d4795137e27529f78a4c36ea178349b1de69f69b7d139e4e445fcfdeff6990f1"),
+    "pg5_2_hyperplanes": (
+        "b7f4159b3989d13d0fa291f35e08a94e05ed866aefaf5c624702ed9e7a441c92",
+        "9c3d472d1c8f0110032d61eb10c2257883ad7f97b692fb768636e2aafc63cc38",
+        "5e1077366a7dba1992822b2e79801e59e7e7c7742d5d81f9a95dbe94d2b0b3b9"),
+    "complete(6,3)": (
+        "e7d857ddf83526c02b46a15b3b62a50fdfe06c14d0a011ff00bcc6531edb7df3",
+        "d1056489f7250fa07661d68749336c77e292de2db4c7d1d39924cf2f6af58c5c",
+        "6c49c6bd300e0b3a381846ea26c4fc55ff28361b0d9c100a3842c585212fed43"),
+    "complete(8,7)": (
+        "72f067de22dd496c8d6d6c22b43b67abce8996c7f68be93c363e42154295efd3",
+        "7a6d5981605bb4752b36054e40ae51b4c8060a850310bfc5133702980bdeedc3",
+        "5b2dd672c0978f9366104f850195e8326b5e4abdc258fcb96919d22483a366ee"),
+    "complete(16,8)": (
+        "2aee70a5e949dec91e22499efa257b3a3c5628686a1de2abaeee12e5db88735d",
+        "78bcb4f959cd9ee7ec45c3f55da56cc976eed17365f9c902748715c1c5392d54",
+        "52f6fa62564176380489f767ae6e51b63023714d3863f1b76b88d26852f08ac9"),
+    "complete(3,2)": (
+        "cd18c4361bfc9a34724b9f0a30cf257d2e070ae91433a07bb379f71fc1b10afb",
+        "63180770e7217d8934c3e926f827ad948724ee639eccd69e3cb1b8f0dd74a98b",
+        "d684a8e23a689b8451af782de872d14d101392af8cf3b1945f9e7d2f27c608e4"),
+    "petersen": (
+        "c671f5be9c6e649af422c7914c2fc3537c85923b7b6d80b228dfec4f8cbbfb7a",
+        "c671f5be9c6e649af422c7914c2fc3537c85923b7b6d80b228dfec4f8cbbfb7a",
+        "c671f5be9c6e649af422c7914c2fc3537c85923b7b6d80b228dfec4f8cbbfb7a"),
+    "complete(21,10)": (
+        "426a952fa31047c46fa903bf9c0440abdb65c26eba54d227ed49f97b42412af1",
+        "426a952fa31047c46fa903bf9c0440abdb65c26eba54d227ed49f97b42412af1",
+        "426a952fa31047c46fa903bf9c0440abdb65c26eba54d227ed49f97b42412af1"),
+}
 
 
 class TestOrder16Groups:
@@ -199,7 +298,7 @@ class TestBiplaneSearch:
 
     def test_builder_rejects_other_indices(self):
         with pytest.raises(ValueError):
-            build_biplane(3)
+            entry("biplane-3")
 
     @pytest.mark.parametrize("name", sorted(BIPLANE_JSON_SHA256))
     def test_biplane_designs_are_pinned(self, name):
@@ -249,8 +348,6 @@ class TestEntries:
                                r"range: complete\(%d,%d\) has more than 200000 blocks; "
                                r"available" % (v, k, v, k)):
                 entry("complete(%d,%d)" % (v, k))
-            with pytest.raises(ValueError, match="more than 200000 blocks"):
-                build_complete(v, k)
 
     def test_names_lists_every_buildable_entry(self):
         listed = names()
@@ -260,14 +357,32 @@ class TestEntries:
         for name in listed[:-1]:
             assert entry(name).name == name
 
+    def test_readme_lists_every_name(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listing = re.search(r"Catalog names: (.*?)\.\s", readme, re.DOTALL).group(1)
+        assert set(re.findall(r"`([^`]+)`", listing)) == set(names())
+
     def test_complete_design_dispatch_and_bounds(self):
         e = entry("complete(6,3)")
         assert e.claims["params"] == (6, 3, 4)
         assert verify_design(e.design).b == 20
         with pytest.raises(ValueError):
-            build_complete(6, 6)
+            entry("complete(6,6)")
         with pytest.raises(ValueError):
-            build_complete(120, 3)
+            entry("complete(120,3)")
+
+
+class TestCliOutputsPinned:
+    @pytest.mark.parametrize("name", list(CLI_SHA256))
+    def test_construct_and_claims_outputs_are_pinned(self, name, capsys):
+        got = []
+        for argv in (["construct", name], ["claims", name],
+                     ["claims", name, "--format", "json"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            record = json.dumps([code, captured.out, captured.err])
+            got.append(hashlib.sha256(record.encode()).hexdigest())
+        assert tuple(got) == CLI_SHA256[name]
 
 
 class TestSixtyFourPointDesigns:
@@ -282,8 +397,7 @@ class TestSixtyFourPointDesigns:
         assert set(B1) & set(B2) == set()
 
     def test_pairwise_non_isomorphic(self):
-        designs = [build_d64(1).design, build_d64(2).design,
-                   build_s_minus_3().design]
+        designs = [entry(name).design for name in ("d64-1", "d64-2", "s-minus-3")]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert are_isomorphic(designs[i], designs[j]) is None
@@ -386,7 +500,7 @@ TRIPLING_IMG = (
 
 @pytest.fixture(scope="module")
 def witnesses():
-    e = build_s_minus_3()
+    e = entry("s-minus-3")
     return (e, Perm(SEVEN_CYCLE_IMG), Perm(INVOLUTION_IMG),
             Perm(TRIPLING_IMG))
 

@@ -297,6 +297,19 @@ class TestDiffset:
         assert main(["diffset", "regular", gens, "--budget", "0"]) == 4
         assert "budget exhausted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["enumerate", "--vmax", "-1"], "vmax"),
+        (["diffset", "regular", "GENS", "--limit", "-1"], "limit"),
+        (["diffset", "regular", "GENS", "--budget", "-1"], "budget"),
+        (["diffset", "check", "GENS", "1,2,4", "--lambda", "-1"], "lambda"),
+    ])
+    def test_negative_numbers_are_usage_errors(self, capsys, tmp_path, argv, flag):
+        gens = write(tmp_path, "c7.gens", C7_GENS)
+        assert main([gens if a == "GENS" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --%s must not be negative\n" % flag
+
     def test_non_regular_group_rejected_for_check(self, capsys, tmp_path):
         gens = write(tmp_path, "s7.gens", S7_GENS)
         assert main(["diffset", "check", gens, "1,2,4", "--lambda", "1"]) == 2
