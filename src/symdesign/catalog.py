@@ -8,13 +8,13 @@ CatalogEntry.  The claims (parameters, automorphism group order,
 transitivity properties) are re-checked from scratch by run_claims.  The
 two 64-point developments are read from the generator strings shipped in
 data/, the third 64-point design comes from an elliptic quadratic form,
-and the 16-point biplanes fall out of diffset.difference_sets over the
-regular representations of all fourteen groups of order 16, each one row
-of presentation parameters under one product rule.  Each development is
-examined once, at its smallest block, which is in the lexicographic list
-of difference sets and holds the base point; only a class founder is
-re-checked as a difference set, and every other development maps onto one
-through a checked point map.  Three designs arise, and the two whose full
+and the 16-point biplanes fall out of the difference sets in the regular
+representations of all fourteen groups of order 16, each one row of
+presentation parameters under one product rule.  Each development is
+examined once, at its smallest block, which is the representative that
+diffset.difference_set_representatives keeps for it; only a class founder
+is re-checked as a difference set, and every other development maps onto
+one through a checked point map.  Three designs arise, and the two whose full
 automorphism groups are flag-transitive are the ones carried here.
 """
 
@@ -36,8 +36,8 @@ from .design import (
     is_point_primitive,
     verify_design,
 )
-from .diffset import RegularAction, develop_difference_set, difference_sets, \
-    is_difference_set
+from .diffset import RegularAction, develop_difference_set, \
+    difference_set_representatives, is_difference_set
 from .geometry import (
     affine_group_order,
     build_affine_design,
@@ -181,12 +181,8 @@ def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
     classes: list[tuple[IncidenceStructure, PermGroup]] = []
     for label, group in order16_groups():
         action = RegularAction.from_group(group)
-        for d in difference_sets(action, 6, 2):
-            if action.base not in d:
-                continue
+        for d in difference_set_representatives(action, 6, 2):
             dev = develop_difference_set(action, d)
-            if d != min(dev.blocks):
-                continue
             if all(are_isomorphic(dev, rep, aut) is None for rep, aut in classes):
                 ok, report = is_difference_set(action, d, 2)
                 assert ok, (label, d, report)
@@ -277,6 +273,9 @@ def names() -> list[str]:
 
 def entry(name: str) -> CatalogEntry:
     row, problem = _TABLE.get(name), "unknown catalog name %r" % name
+    if name == "complete(v,k)":
+        raise ValueError("catalog name %r is a placeholder: give integers v and k, "
+                         "for example complete(6,3)" % name)
     if row is None and (m := _COMPLETE_RE.match(name.replace(" ", ""))):
         v, k = int(m.group(1)), int(m.group(2))
         if misfit := _complete_misfit(v, k):

@@ -5,8 +5,9 @@ elements; a k-subset is a (n, k, lambda) difference set when every
 non-identity element has exactly lambda representations as a quotient of
 two of its elements.  Developing the subset under the action yields a
 symmetric design with the group as a point-regular automorphism group.
-is_difference_set checks one subset and difference_sets finds them all;
-both count quotients through the same table.
+is_difference_set checks one subset and difference_set_representatives
+finds one per development, base point first; both count quotients through
+the same table, and difference_sets lists every translate of those.
 
 find_regular_subgroups recovers such actions inside a given automorphism
 group by depth-first search over the elements mapping the base point to
@@ -62,12 +63,9 @@ class RegularAction:
 
 
 def _quotient_rows(action: RegularAction, points: Sequence[int]) -> list[tuple[int, ...]]:
-    """One row per point q of points: the image tuple of d_q^{-1}.
-
-    In a regular action the quotient d_p * d_q^{-1} is the one element that
-    sends the base point to d_q^{-1}(p), so entry p of row q names that
-    quotient by a point.  The pair p == q lands on the base point.
-    """
+    """Row q is the image tuple of d_q^{-1}, which carries q to the base
+    point; entry p names the quotient d_p * d_q^{-1} by the point it sends
+    the base point to, as the action is regular."""
     return [action.element_of[q].inv().img for q in points]
 
 
@@ -90,24 +88,29 @@ def is_difference_set(action: RegularAction, d: Iterable[int],
     return (not report, report)
 
 
-def difference_sets(action: RegularAction, k: int, lam: int) -> list[tuple[int, ...]]:
-    """Every k-subset that is a difference set with lambda, lexicographically.
-
-    Points join in increasing order, and a prefix is dropped as soon as
-    one of its quotients is counted more than lambda times.
-    """
-    n = action.degree
+def difference_set_representatives(action: RegularAction, k: int,
+                                   lam: int) -> list[tuple[int, ...]]:
+    """One difference set per development, lexicographically: the smallest
+    of its translates through the base point (row p of d for p in d), which
+    for base point 0 is the development's smallest block.  The base point
+    is chosen first, then the others in increasing order, and a prefix is
+    dropped once one of its quotients is counted more than lambda times."""
+    n, base = action.degree, action.base
     rows = _quotient_rows(action, range(n))
+    order = [base] + [x for x in range(n) if x != base]
     counts = [0] * n
     chosen: list[int] = []
     found: list[tuple[int, ...]] = []
 
     def extend(start: int) -> None:
         if len(chosen) == k:
-            if all(c == lam for x, c in enumerate(counts) if x != action.base):
-                found.append(tuple(chosen))
+            d = tuple(sorted(chosen))
+            if (all(c == lam for x, c in enumerate(counts) if x != base)
+                    and all(d <= tuple(sorted(rows[p][x] for x in d)) for p in d)):
+                found.append(d)
             return
-        for x in range(start, n - k + len(chosen) + 1):
+        for i in range(start, n - k + len(chosen) + 1 if chosen else 1):
+            x = order[i]
             row = rows[x]
             added = []
             for s in chosen:
@@ -123,13 +126,21 @@ def difference_sets(action: RegularAction, k: int, lam: int) -> list[tuple[int, 
                     break
             else:
                 chosen.append(x)
-                extend(x + 1)
+                extend(i + 1)
                 chosen.pop()
             for c in added:
                 counts[c] -= 1
 
     extend(0)
-    return found
+    return sorted(found)
+
+
+def difference_sets(action: RegularAction, k: int, lam: int) -> list[tuple[int, ...]]:
+    """Every k-subset that is a difference set with lambda, lexicographically:
+    every translate of every representative."""
+    return sorted({tuple(sorted(g.apply_to_set(d)))
+                   for d in difference_set_representatives(action, k, lam)
+                   for g in action.element_of.values()})
 
 
 def develop_difference_set(action: RegularAction, d: Iterable[int]) -> IncidenceStructure:

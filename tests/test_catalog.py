@@ -32,7 +32,8 @@ from symdesign.design import (
     is_point_primitive,
     verify_design,
 )
-from symdesign.diffset import RegularAction, develop_difference_set, difference_sets
+from symdesign.diffset import RegularAction, develop_difference_set, \
+    difference_set_representatives, difference_sets
 from symdesign.enumeration import table_rows
 from symdesign.iso import are_isomorphic
 from symdesign.perm import (
@@ -73,6 +74,11 @@ DIFFERENCE_SET_COUNTS = {
     "(C4xC2):C2": 192,
     "C4oD8": 320,
 }
+
+# sha256 of the JSON list of [label, difference_sets(action, 6, 2)] over the
+# fourteen groups, recorded before the search started from the base point
+DIFFERENCE_SETS_SHA256 = \
+    "7948727e70d0c23ba763e7cd9b0de2e7dddc38bc2091fc47227d86b231beda59"
 
 ALL_NAMES = ([name for name in names() if name != "complete(v,k)"]
              + ["complete(6,3)", "complete(8,7)"])
@@ -221,6 +227,12 @@ class TestBiplaneSearch:
             got[label] = len(difference_sets(action, 6, 2))
         assert got == DIFFERENCE_SET_COUNTS
 
+    def test_difference_sets_are_pinned(self):
+        got = [[label, difference_sets(RegularAction.from_group(group), 6, 2)]
+               for label, group in order16_groups()]
+        assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == \
+            DIFFERENCE_SETS_SHA256
+
     def test_elementary_abelian_counts_match_translate_oracle(self):
         # independent route: |D meet (D + c)| = 2 for every nonzero c,
         # computed by direct xor translation of the point set
@@ -263,8 +275,8 @@ class TestBiplaneSearch:
         assert [aut.order() for _, aut in classes] == [11520, 768, 384]
 
     def test_one_development_per_representative(self, monkeypatch):
-        # only sets through the base point are developed, and only the 3
-        # class founders are re-checked as difference sets
+        # only one representative per development is developed, and only
+        # the 3 class founders are re-checked as difference sets
         calls = {"develop": 0, "check": 0}
 
         def counting(key, real):
@@ -278,18 +290,18 @@ class TestBiplaneSearch:
         monkeypatch.setattr(catalog, "is_difference_set",
                             counting("check", catalog.is_difference_set))
         biplane_classes.__wrapped__()
-        assert calls == {"develop": 1248, "check": 3}
+        assert calls == {"develop": 208, "check": 3}
 
     def test_smallest_blocks_through_base_match_distinct_developments(self):
         for label, group in order16_groups():
             action = RegularAction.from_group(group)
-            found = difference_sets(action, 6, 2)
-            blocks = {d: frozenset(develop_difference_set(action, d).blocks)
-                      for d in found}
-            reps = [d for d in found if action.base in d and d == min(blocks[d])]
-            distinct = set(blocks.values())
+            distinct = {frozenset(develop_difference_set(action, d).blocks)
+                        for d in difference_sets(action, 6, 2)}
+            reps = {d: frozenset(develop_difference_set(action, d).blocks)
+                    for d in difference_set_representatives(action, 6, 2)}
+            assert all(d == min(blocks) for d, blocks in reps.items()), label
             assert len(reps) == len(distinct), label
-            assert {blocks[d] for d in reps} == distinct, label
+            assert set(reps.values()) == distinct, label
 
     def test_exactly_two_classes_are_flag_transitive(self):
         from symdesign.design import is_flag_transitive
@@ -337,6 +349,13 @@ class TestEntries:
                 entry(name)
         with pytest.raises(ValueError, match="^unknown catalog name 'petersen'; available"):
             entry("petersen")
+
+    def test_placeholder_name_asks_for_integers(self, capsys):
+        assert main(["claims", "complete(v,k)"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: catalog name 'complete(v,k)' is a placeholder: give "
+                       "integers v and k, for example complete(6,3)\n")
+        assert "available" not in err
 
     def test_complete_name_over_the_block_limit_is_out_of_range(self):
         """complete(20,10) has 184,756 blocks and stays buildable; the next

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign import diffset
+from symdesign.catalog import order16_groups
 from symdesign.design import DesignError, IncidenceStructure, develop, \
     induced_block_action, verify_design
 from symdesign.diffset import BudgetExhausted, RegularAction, \
-    develop_difference_set, difference_sets, find_regular_subgroups, \
-    is_difference_set
+    develop_difference_set, difference_set_representatives, difference_sets, \
+    find_regular_subgroups, is_difference_set
 from symdesign.iso import automorphism_group
 from symdesign.perm import Perm, PermGroup, parse_generator_file
 
@@ -123,12 +124,31 @@ def small_regular_actions(draw) -> RegularAction:
 class TestDifferenceSets:
     @pytest.mark.parametrize("n, k, lam, count", [
         (7, 3, 1, 14), (11, 5, 2, 22), (13, 4, 1, 52), (15, 7, 3, 30),
-        (16, 6, 2, 0)])
+        (16, 6, 2, 0), (7, 0, 0, 1), (7, 0, 1, 0), (7, 1, 0, 7), (7, 1, 1, 0),
+        (7, 7, 7, 1), (7, 7, 6, 0)])
     def test_cyclic_counts_match_brute_force(self, n, k, lam, count):
         action = cyclic(n)
         found = difference_sets(action, k, lam)
         assert len(found) == count
         assert found == brute_force(action, k, lam)
+
+    @pytest.mark.parametrize("label", ["C4xC4", "Q8xC2"])
+    def test_base_point_other_than_zero(self, label):
+        group = dict(order16_groups())[label]
+        action = RegularAction.from_group(group, base=5)
+        found = difference_sets(action, 6, 2)
+        assert found and found == brute_force(action, 6, 2)
+        reps = difference_set_representatives(action, 6, 2)
+        assert all(5 in d for d in reps)
+        assert len(reps) * 16 == len(found)
+
+    def test_one_representative_per_development(self):
+        action = cyclic(13)
+        reps = difference_set_representatives(action, 4, 1)
+        blocks = [frozenset(develop_difference_set(action, d).blocks) for d in reps]
+        assert reps == sorted(reps) and all(d == min(b) for d, b in zip(reps, blocks))
+        assert set().union(*blocks) == set(difference_sets(action, 4, 1))
+        assert len(set(blocks)) == len(reps) == 52 // 13
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), small_regular_actions())
