@@ -10,12 +10,14 @@ two 64-point developments are read from the generator strings shipped in
 data/, the third 64-point design comes from an elliptic quadratic form,
 and the 16-point biplanes fall out of the difference sets in the regular
 representations of all fourteen groups of order 16, each one row of
-presentation parameters under one product rule.  Each development is
-examined once, at its smallest block, which is the representative that
-diffset.difference_set_representatives keeps for it; only a class founder
-is re-checked as a difference set, and every other development maps onto
-one through a checked point map.  Three designs arise, and the two whose full
-automorphism groups are flag-transitive are the ones carried here.
+presentation parameters under one product rule.  Of the representatives
+that diffset.difference_set_representatives keeps, one per development,
+only the first of each multiplier orbit is developed: a group automorphism
+mapping one onto a translate of another is a point isomorphism of their
+developments, so a later set in an orbit never starts a class, whichever
+subgroup of automorphisms is used.  Only class founders are re-checked as
+difference sets.  Three designs arise, and the two whose full automorphism
+groups are flag-transitive are the ones carried here.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .design import (
     verify_design,
 )
 from .diffset import RegularAction, develop_difference_set, \
-    difference_set_representatives, is_difference_set
+    difference_set_representatives, group_automorphisms, is_difference_set, \
+    multiplier_orbit
 from .geometry import (
     affine_group_order,
     build_affine_design,
@@ -176,12 +179,16 @@ def order16_groups() -> tuple[tuple[str, PermGroup], ...]:
 @lru_cache(maxsize=None)
 def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
     """Isomorphism classes of difference-set developable 2-(16,6,2) designs,
-    each with its full automorphism group, largest group first; the module
-    docstring gives the one-representative rule."""
+    each with its full automorphism group, largest group first.  A set in
+    an earlier set's multiplier orbit is skipped (module docstring)."""
     classes: list[tuple[IncidenceStructure, PermGroup]] = []
     for label, group in order16_groups():
         action = RegularAction.from_group(group)
+        automorphisms, seen = group_automorphisms(action), set()
         for d in difference_set_representatives(action, 6, 2):
+            if d in seen:
+                continue
+            seen.update(multiplier_orbit(action, d, automorphisms))
             dev = develop_difference_set(action, d)
             if all(are_isomorphic(dev, rep, aut) is None for rep, aut in classes):
                 ok, report = is_difference_set(action, d, 2)

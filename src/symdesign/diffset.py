@@ -9,6 +9,11 @@ is_difference_set checks one subset and difference_set_representatives
 finds one per development, base point first; both count quotients through
 the same table, and difference_sets lists every translate of those.
 
+A group automorphism (a multiplier) maps a difference set and its
+development onto another's; multiplier_orbit closes a set's orbit under the
+certified generators from group_automorphisms, keeping each image as the
+translate that difference_set_representatives would keep.
+
 find_regular_subgroups recovers such actions inside a given automorphism
 group by depth-first search over the elements mapping the base point to
 each successive uncovered point.  In a regular group every non-identity
@@ -88,6 +93,13 @@ def is_difference_set(action: RegularAction, d: Iterable[int],
     return (not report, report)
 
 
+def _smallest_translate(rows: Sequence[tuple[int, ...]],
+                        d: Sequence[int]) -> tuple[int, ...]:
+    """The smallest translate of d through the base point: row p of d for p
+    in d, with rows from _quotient_rows over every point."""
+    return min((tuple(sorted(rows[p][x] for x in d)) for p in d), default=())
+
+
 def difference_set_representatives(action: RegularAction, k: int,
                                    lam: int) -> list[tuple[int, ...]]:
     """One difference set per development, lexicographically: the smallest
@@ -106,7 +118,7 @@ def difference_set_representatives(action: RegularAction, k: int,
         if len(chosen) == k:
             d = tuple(sorted(chosen))
             if (all(c == lam for x, c in enumerate(counts) if x != base)
-                    and all(d <= tuple(sorted(rows[p][x] for x in d)) for p in d)):
+                    and d == _smallest_translate(rows, d)):
                 found.append(d)
             return
         for i in range(start, n - k + len(chosen) + 1 if chosen else 1):
@@ -133,6 +145,65 @@ def difference_set_representatives(action: RegularAction, k: int,
 
     extend(0)
     return sorted(found)
+
+
+def group_automorphisms(action: RegularAction) -> list[Perm]:
+    """Generators of Aut(G) as point maps fixing the base point, each
+    certified to preserve the table M[x][y] = element_of[y][x], the point of
+    the product of x and y.  A map is fixed by its images of the letters,
+    the points of G's generators.  Level i, last letter first, adds maps
+    fixing the letters before it that send letter i outside its orbit under
+    the maps found so far, whose group holds every map fixing letter i too
+    (the stabilizer-chain scheme); images are tried among elements of one order."""
+    n, base = action.degree, action.base
+    table = [[action.element_of[y][x] for y in range(n)] for x in range(n)]
+    letters = [g[base] for g in action.group.generators if g[base] != base]
+    orders = [action.element_of[x].order() for x in range(n)]
+    images_of = [[t for t in range(n) if orders[t] == orders[a]] for a in letters]
+    steps, reached = [], [base]  # each point as an earlier point times a letter
+    for x in reached:
+        for j, a in enumerate(letters):
+            if (y := table[x][a]) not in reached:
+                reached.append(y)
+                steps.append((y, x, j))
+
+    def search(images: list[int]) -> Perm | None:
+        if len(images) < len(letters):
+            return next((sigma for t in images_of[len(images)]
+                         if (sigma := search(images + [t]))), None)
+        img = [base] * n
+        for y, x, j in steps:
+            img[y] = table[img[x]][images[j]]
+        if len(set(img)) == n and all(img[table[x][y]] == table[img[x]][img[y]]
+                                      for x in range(n) for y in range(n)):
+            return Perm(img)
+        return None
+
+    found: list[Perm] = []
+    for i in reversed(range(len(letters))):
+        orbit = {letters[i]}
+        for t in images_of[i]:
+            if t not in orbit and (sigma := search(letters[:i] + [t])):
+                found.append(sigma)
+                while more := {g[x] for g in found for x in orbit} - orbit:
+                    orbit |= more
+    return found
+
+
+def multiplier_orbit(action: RegularAction, d: Sequence[int],
+                     automorphisms: Sequence[Perm]) -> dict[tuple[int, ...], Perm]:
+    """The difference sets that the group generated by `automorphisms` maps
+    d onto, each as its smallest translate through the base point, with one
+    such map; it carries the development of d onto that of the image."""
+    rows = _quotient_rows(action, range(action.degree))
+    queue = [(_smallest_translate(rows, d), Perm.identity(action.degree))]
+    orbit = dict(queue)
+    for e, sigma in queue:
+        for a in automorphisms:
+            if (image := _smallest_translate(rows, [a[x] for x in e])) not in orbit:
+                orbit[image] = sigma * a
+                queue.append((image, orbit[image]))
+    return orbit
 
 
 def difference_sets(action: RegularAction, k: int, lam: int) -> list[tuple[int, ...]]:

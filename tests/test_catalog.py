@@ -26,6 +26,7 @@ from symdesign.decomp import DecompositionError, decompose
 from symdesign.design import (
     DesignError,
     IncidenceStructure,
+    carries_blocks,
     design_from_json,
     design_to_json,
     is_flag_transitive,
@@ -33,7 +34,8 @@ from symdesign.design import (
     verify_design,
 )
 from symdesign.diffset import RegularAction, develop_difference_set, \
-    difference_set_representatives, difference_sets
+    difference_set_representatives, difference_sets, group_automorphisms, \
+    multiplier_orbit
 from symdesign.enumeration import table_rows
 from symdesign.iso import are_isomorphic
 from symdesign.perm import (
@@ -79,6 +81,12 @@ DIFFERENCE_SET_COUNTS = {
 # fourteen groups, recorded before the search started from the base point
 DIFFERENCE_SETS_SHA256 = \
     "7948727e70d0c23ba763e7cd9b0de2e7dddc38bc2091fc47227d86b231beda59"
+
+# sha256 of the JSON list of [blocks, |Aut|, generator image tuples] of every
+# biplane_classes() entry, recorded before representatives were skipped by
+# multiplier orbits
+BIPLANE_CLASSES_SHA256 = \
+    "f7be168bfd725651a809586c70182e0fca192982d6f51335b44bae26cfddc544"
 
 ALL_NAMES = ([name for name in names() if name != "complete(v,k)"]
              + ["complete(6,3)", "complete(8,7)"])
@@ -219,6 +227,29 @@ class TestOrder16Groups:
         assert hashlib.sha256(images.encode()).hexdigest() == REGULAR_REPS_SHA256
 
 
+# per group, the number of orbits of its difference_set_representatives
+# under its automorphisms (27 of the 208 representatives start one)
+MULTIPLIER_ORBIT_COUNTS = {
+    "C16": 0, "C8xC2": 2, "C4xC4": 3, "C4xC2xC2": 2, "C2^4": 1, "D16": 0,
+    "SD16": 2, "Q16": 2, "M16": 2, "D8xC2": 2, "Q8xC2": 2, "C4:C4": 3,
+    "(C4xC2):C2": 4, "C4oD8": 2,
+}
+
+
+def multiplier_orbits():
+    """(label, action, [(first representative, its orbit)]) per group, in
+    the order biplane_classes walks them."""
+    out = []
+    for label, group in order16_groups():
+        action = RegularAction.from_group(group)
+        automorphisms, orbits = group_automorphisms(action), []
+        for d in difference_set_representatives(action, 6, 2):
+            if all(d not in orbit for _, orbit in orbits):
+                orbits.append((d, multiplier_orbit(action, d, automorphisms)))
+        out.append((label, action, orbits))
+    return out
+
+
 class TestBiplaneSearch:
     def test_difference_set_counts_per_group(self):
         got = {}
@@ -259,6 +290,13 @@ class TestBiplaneSearch:
             for j in range(i + 1, 3):
                 assert are_isomorphic(designs[i], designs[j]) is None
 
+    def test_classes_are_pinned(self):
+        got = [[[list(b) for b in dev.blocks], aut.order(),
+                [list(g.img) for g in aut.generators]]
+               for dev, aut in biplane_classes.__wrapped__()]
+        assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == \
+            BIPLANE_CLASSES_SHA256
+
     def test_each_class_group_is_computed_once(self, monkeypatch):
         from symdesign import iso
         calls = []
@@ -275,8 +313,9 @@ class TestBiplaneSearch:
         assert [aut.order() for _, aut in classes] == [11520, 768, 384]
 
     def test_one_development_per_representative(self, monkeypatch):
-        # only one representative per development is developed, and only
-        # the 3 class founders are re-checked as difference sets
+        # only the first representative of each multiplier orbit is
+        # developed, and only the 3 class founders are re-checked as
+        # difference sets
         calls = {"develop": 0, "check": 0}
 
         def counting(key, real):
@@ -290,7 +329,22 @@ class TestBiplaneSearch:
         monkeypatch.setattr(catalog, "is_difference_set",
                             counting("check", catalog.is_difference_set))
         biplane_classes.__wrapped__()
-        assert calls == {"develop": 208, "check": 3}
+        assert calls == {"develop": 27, "check": 3}
+
+    def test_multiplier_orbits_per_group(self):
+        assert {label: len(orbits) for label, _, orbits in multiplier_orbits()} == \
+            MULTIPLIER_ORBIT_COUNTS
+
+    def test_skipped_representatives_map_onto_their_orbit_first(self):
+        skipped = 0
+        for label, action, orbits in multiplier_orbits():
+            for first, orbit in orbits:
+                onto = develop_difference_set(action, first).blocks
+                for d, sigma in orbit.items():
+                    blocks = develop_difference_set(action, d).blocks
+                    assert carries_blocks(sigma.inv().img, blocks, onto), (label, d)
+                    skipped += d != first
+        assert skipped == 208 - 27
 
     def test_smallest_blocks_through_base_match_distinct_developments(self):
         for label, group in order16_groups():

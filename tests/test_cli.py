@@ -413,3 +413,84 @@ def test_malformed_input_never_exits_internal(tmp_path, data):
     except SystemExit as err:  # argparse rejects a subset such as "-1,2"
         code = err.code
     assert code != 3, argv
+
+
+# One defect at a time on top of a well-formed design or generator file:
+# text that is not JSON, wrong shapes and types, points out of range or
+# repeated, empty blocks, deep nesting; a missing or bad degree line, cycles
+# that are unwrapped, unbalanced, non-numeric, out of range or repeated.
+# Each must be refused as a usage error.
+@st.composite
+def broken_design_texts(draw):
+    v = draw(st.integers(1, 8))
+    blocks = draw(st.lists(st.lists(st.integers(1, v), min_size=1, max_size=v, unique=True),
+                           min_size=1, max_size=6))
+    i = draw(st.integers(0, len(blocks) - 1))
+    j = draw(st.integers(0, len(blocks[i]) - 1))
+    junk = st.sampled_from(["2", 2.0, True, None, [2], {}])
+    defect = draw(st.sampled_from(
+        ["prefix", "top", "key", "v", "v range", "blocks", "point", "point range",
+         "repeat", "empty", "nested"]))
+    design = {"v": v, "blocks": blocks}
+    if defect == "prefix":
+        text = json.dumps(design)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if defect == "top":
+        return json.dumps(draw(st.sampled_from([blocks, v, "design", None, [v, blocks]])))
+    if defect == "key":
+        del design[draw(st.sampled_from(["v", "blocks"]))]
+    elif defect == "v":
+        design["v"] = draw(junk)
+    elif defect == "v range":
+        design["v"] = draw(st.integers(-3, 0) | st.integers(101, 10 ** 6))
+    elif defect == "blocks":
+        design["blocks"] = draw(st.sampled_from(["abc", 3, {"1": [1]}, None, blocks[i]]))
+    elif defect == "point":
+        blocks[i][j] = draw(junk)
+    elif defect == "point range":
+        blocks[i][j] = draw(st.integers(-3, 0) | st.integers(v + 1, v + 5))
+    elif defect == "repeat":
+        blocks[i].append(blocks[i][j])
+    elif defect == "empty":
+        blocks.insert(i, [])
+    else:
+        depth = draw(st.integers(2_000, 100_000))
+        return '{"v": %d, "blocks": %s}' % (v, "[" * depth + "]" * depth)
+    return json.dumps(design)
+
+
+@st.composite
+def broken_generator_texts(draw):
+    n = draw(st.integers(1, 8))
+    lines = ["degree %d" % n] + ["(%s)" % ",".join(map(str, p)) for p in draw(
+        st.lists(st.permutations(range(1, n + 1)), max_size=3))]
+    i = draw(st.integers(1, len(lines)))
+    bad_degree = st.sampled_from(["degree", "degree x", "degree 2.5", "deg %d" % n,
+                                  "degree %d %d" % (n, n), "degree 0", "degree -1",
+                                  "degree 101"])
+    bad_cycle = st.sampled_from(["(1,%d)" % (n + 1), "(0,1)", "(-1,1)", "(1,1)",
+                                 "(1)(1)", "(1,a)", "(1,,2)", "1,2", "(1,2", "((1,2)"])
+    defect = draw(st.sampled_from(["no degree", "degree", "cycle"]))
+    if defect == "no degree":
+        del lines[0]
+    elif defect == "degree":
+        lines[0] = draw(bad_degree)
+    else:
+        lines.insert(i, draw(bad_cycle))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_files_are_usage_errors(tmp_path, data, capsys):
+    good = write(tmp_path, "good.json", FANO_JSON)
+    if data.draw(st.booleans()):
+        bad = write(tmp_path, "bad.json", data.draw(broken_design_texts()))
+        argv = data.draw(st.sampled_from([["verify", bad], ["aut", bad],
+                                          ["iso", bad, good], ["iso", good, bad]]))
+    else:
+        argv = ["diffset", "regular",
+                write(tmp_path, "bad.gens", data.draw(broken_generator_texts()))]
+    assert main(argv) == 2, argv
+    assert capsys.readouterr().err.startswith("error: ")

@@ -14,7 +14,7 @@ from symdesign.design import DesignError, IncidenceStructure, develop, \
     induced_block_action, verify_design
 from symdesign.diffset import BudgetExhausted, RegularAction, \
     develop_difference_set, difference_set_representatives, difference_sets, \
-    find_regular_subgroups, is_difference_set
+    find_regular_subgroups, group_automorphisms, is_difference_set
 from symdesign.iso import automorphism_group
 from symdesign.perm import Perm, PermGroup, parse_generator_file
 
@@ -158,6 +158,61 @@ class TestDifferenceSets:
             [k for k in range(n + 1) if k * (k - 1) % (n - 1) == 0]))
         lam = k * (k - 1) // (n - 1)
         assert difference_sets(action, k, lam) == brute_force(action, k, lam)
+
+
+def brute_force_automorphism_count(action: RegularAction) -> int:
+    """Letter-image tuples whose extension along x -> x * letter is a
+    well-defined bijection: the automorphisms of the regular group."""
+    n, base, element_of = action.degree, action.base, action.element_of
+    letters = [g[base] for g in action.group.generators if g[base] != base]
+    count = 0
+    for images in itertools.product(range(n), repeat=len(letters)):
+        img, frontier, ok = {base: base}, [base], True
+        while frontier and ok:
+            x = frontier.pop()
+            for a, t in zip(letters, images):
+                y, z = element_of[a][x], element_of[t][img[x]]
+                if y not in img:
+                    img[y] = z
+                    frontier.append(y)
+                elif img[y] != z:
+                    ok = False
+        count += ok and len(set(img.values())) == n
+    return count
+
+
+# |Aut(G)| in order16_groups() order
+AUT_ORDERS = [8, 16, 96, 192, 20160, 32, 16, 32, 16, 64, 192, 32, 32, 48]
+
+
+class TestGroupAutomorphisms:
+    def test_orders_of_the_groups_of_order_16(self):
+        got = [PermGroup(group_automorphisms(RegularAction.from_group(group)), 16).order()
+               for _, group in order16_groups()]
+        assert got == AUT_ORDERS
+
+    @pytest.mark.parametrize("label, base", [
+        (label, 0) for label, _ in order16_groups()] + [("Q8xC2", 5), ("C8xC2", 11)])
+    def test_generators_fix_base_and_preserve_products(self, label, base):
+        action = RegularAction.from_group(dict(order16_groups())[label], base=base)
+        mul = [[action.element_of[y][x] for y in range(16)] for x in range(16)]
+        for sigma in group_automorphisms(action):
+            assert sigma[base] == base
+            assert all(sigma[mul[x][y]] == mul[sigma[x]][sigma[y]]
+                       for x in range(16) for y in range(16))
+
+    @pytest.mark.parametrize("label", [
+        label for label, _ in order16_groups() if label != "C2^4"])
+    def test_order_matches_brute_force(self, label):
+        action = RegularAction.from_group(dict(order16_groups())[label])
+        assert PermGroup(group_automorphisms(action), 16).order() == \
+            brute_force_automorphism_count(action)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_regular_actions())
+    def test_order_matches_brute_force_on_small_groups(self, action):
+        assert PermGroup(group_automorphisms(action), action.degree).order() == \
+            brute_force_automorphism_count(action)
 
 
 class TestDevelopment:
