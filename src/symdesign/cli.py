@@ -113,7 +113,7 @@ def cmd_verify(args) -> int:
 def cmd_aut(args) -> int:
     design = _load_design(args.design)
     group = automorphism_group(design)
-    gens = [p.cycle_string(one_based=True) for p in group.generators]
+    gens = [p.cycle_string() for p in group.generators]
     if args.format == "json":
         print(json.dumps({"order": group.order(), "generators": gens}))
     else:
@@ -134,7 +134,7 @@ def cmd_iso(args) -> int:
     elif mapping is None:
         print("non-isomorphic")
     else:
-        print("isomorphic: %s" % mapping.cycle_string(one_based=True))
+        print("isomorphic: %s" % mapping.cycle_string())
     return EXIT_OK if mapping is not None else EXIT_FALSE
 
 
@@ -237,7 +237,7 @@ def cmd_diffset(args) -> int:
         for action in found:
             print("regular subgroup of order %d" % action.group.order())
             for p in action.group.generators:
-                print(p.cycle_string(one_based=True))
+                print(p.cycle_string())
         return EXIT_OK
 
     action = _regular_action(group)
@@ -255,7 +255,7 @@ def cmd_diffset(args) -> int:
     print("not a difference set with lambda=%d:" % args.lam)
     for perm, count in deviants[:8]:
         print("  %s has %d representation%s" % (
-            perm.cycle_string(one_based=True), count,
+            perm.cycle_string(), count,
             "" if count == 1 else "s"))
     if len(deviants) > 8:
         print("  ... and %d more" % (len(deviants) - 8))

@@ -209,24 +209,23 @@ def carries_blocks(img: Sequence[int], blocks: Sequence[tuple[int, ...]],
 def is_flag_transitive(s: IncidenceStructure, g: PermGroup) -> bool:
     """Whether g is transitive on flags (incident point-block pairs).
 
-    Every generator must be an automorphism; the flag orbit is grown
-    breadth-first and compared against the total flag count.
+    Every generator must be an automorphism (induced_block_action raises
+    DesignError with a witness otherwise).  Then g is flag-transitive when it
+    is transitive on the points on blocks and the stabilizer of one such
+    point x is transitive on the blocks through x: developing one of them
+    under the stabilizer gives them all.  Repeated blocks are flags no point
+    map tells apart, so they make the answer False.
     """
-    actions = [(p, induced_block_action(s, p)) for p in g.generators]
-    nflags = sum(len(blk) for blk in s.blocks)
-    if nflags == 0:
+    for p in g.generators:
+        induced_block_action(s, p)
+    if not s.blocks:
         return False
-    start = (s.blocks[0][0], 0)
-    seen = {start}
-    queue = [start]
-    while queue:
-        x, bi = queue.pop()
-        for p, sigma in actions:
-            flag = (p[x], sigma[bi])
-            if flag not in seen:
-                seen.add(flag)
-                queue.append(flag)
-    return len(seen) == nflags
+    x = s.blocks[0][0]
+    through = [blk for blk in s.blocks if x in blk]
+    # the orbit of x lies among the points on blocks, so equal sizes suffice
+    covered = {y for blk in s.blocks for y in blk}
+    return (len(g.orbit(x)) == len(covered)
+            and develop(g.point_stabilizer(x), through[0]).b == len(through))
 
 
 def is_point_primitive(s: IncidenceStructure, g: PermGroup) -> bool:

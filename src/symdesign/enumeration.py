@@ -177,8 +177,9 @@ def _shape(row: ParamRow) -> int:
     return 1 if complete_inner(row.v0, row.k0) else 2
 
 
-def _make_row(v0: int, k0: int, lambda0: int,
-              v1: int, k1: int, lambda1: int) -> ParamRow:
+def make_row(v0: int, k0: int, lambda0: int,
+             v1: int, k1: int, lambda1: int) -> ParamRow:
+    """The family of an inner 2-(v0,k0,lambda0) and a quotient 2-(v1,k1,lambda1)."""
     r0 = lambda0 * (v0 - 1) // (k0 - 1)
     assert r0 * (k0 - 1) == lambda0 * (v0 - 1)
     b0 = v0 * r0 // k0
@@ -242,7 +243,7 @@ def all_rows(vmax: int = 100) -> list[ParamRow]:
                     lambda0s = [lam for lam, _ in INNER_DESIGNS[(v0, k0)]]
                 for lambda1, _ in QUOTIENT_DESIGNS[(v1, k1)]:
                     for lambda0 in lambda0s:
-                        rows.append(_make_row(v0, k0, lambda0, v1, k1, lambda1))
+                        rows.append(make_row(v0, k0, lambda0, v1, k1, lambda1))
     rows.sort(key=lambda row: (_shape(row), _sort_key(row)))
     return rows
 

@@ -136,12 +136,12 @@ class Perm:
     def apply_to_set(self, points: Iterable[int]) -> frozenset[int]:
         return frozenset(self.img[x] for x in points)
 
-    def cycle_string(self, one_based: bool = True) -> str:
-        off = 1 if one_based else 0
+    def cycle_string(self) -> str:
+        """The nontrivial cycles, 1-based, as the text formats print them."""
         cycs = self.cycles()
         if not cycs:
             return "()"
-        return "".join("(" + ",".join(str(x + off) for x in c) + ")" for c in cycs)
+        return "".join("(" + ",".join(str(x + 1) for x in c) + ")" for c in cycs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.img == other.img
@@ -536,10 +536,12 @@ def rank_and_subdegrees(group: PermGroup) -> tuple[int, tuple[int, ...]]:
     return len(sizes), sizes
 
 
-def _finest_system_joining(gens: Sequence[Perm], degree: int, p: int, q: int) -> tuple[int, ...]:
-    """Union-find closure: the finest G-congruence with p and q in one class.
+def _finest_system_joining(gens: Sequence[Perm], degree: int, p: int, q: int) -> list[int]:
+    """The finest G-congruence with p and q in one class, as class labels.
 
-    Returns the class-label vector (each class labelled by its smallest member).
+    Union-find: merging two roots queues their images under every
+    generator.  The smaller root stays, so each class is labelled by its
+    smallest member.
     """
     parent = list(range(degree))
 
@@ -549,24 +551,14 @@ def _finest_system_joining(gens: Sequence[Perm], degree: int, p: int, q: int) ->
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> tuple[int, int] | None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return None
-        if ra > rb:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return ra, rb
-
-    stack = [(p, q)]
-    union(p, q)
-    while stack:
-        a, b = stack.pop()
-        for g in gens:
-            merged = union(g[a], g[b])
-            if merged is not None:
-                stack.append(merged)
-    return tuple(find(x) for x in range(degree))
+    queue = [(p, q)]
+    while queue:
+        a, b = queue.pop()
+        ra, rb = sorted((find(a), find(b)))
+        if ra != rb:
+            parent[rb] = ra
+            queue.extend((g[ra], g[rb]) for g in gens)
+    return [find(x) for x in range(degree)]
 
 
 def minimal_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
@@ -579,39 +571,25 @@ def minimal_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]
     if not group.is_transitive():
         raise ValueError("block systems require a transitive group")
     n = group.degree
-    gens = group.generators
-    labelings: set[tuple[int, ...]] = set()
-    # an h fixing 0 carries the finest system joining 0 and q onto the one
-    # joining 0 and h(q), and every system is G-invariant, so the two are
-    # equal: one q per orbit of the stabilizer of 0 will do, skipping {0}
+    # in a transitive group a block system is the set of images of its class
+    # through 0, so that class fixes the system, and one system refines
+    # another exactly when its class through 0 is the smaller.  An h fixing 0
+    # carries the finest system joining 0 and q onto the one joining 0 and
+    # h(q), and every system is G-invariant, so the two are equal: one q per
+    # orbit of the stabilizer of 0 will do, skipping {0}
+    candidates: dict[frozenset[int], list[int]] = {}
     for orb in group.point_stabilizer(0).orbits()[1:]:
-        lab = _finest_system_joining(gens, n, 0, orb[0])
-        nclasses = len(set(lab))
-        if 1 < nclasses < n:
-            labelings.add(lab)
-
-    def to_partition(lab: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        classes: dict[int, list[int]] = {}
-        for x, l in enumerate(lab):
-            classes.setdefault(l, []).append(x)
-        return tuple(tuple(c) for _, c in sorted(classes.items()))
-
-    def refines(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        # a refines b: each a-class sits inside one b-class
-        rep: dict[int, int] = {}
-        for x in range(n):
-            la, lb = a[x], b[x]
-            if la in rep:
-                if rep[la] != lb:
-                    return False
-            else:
-                rep[la] = lb
-        return True
-
+        labels = _finest_system_joining(group.generators, n, 0, orb[0])
+        through0 = frozenset(x for x, label in enumerate(labels) if label == 0)
+        if len(through0) < n:
+            candidates[through0] = labels
     systems = []
-    for lab in labelings:
-        if any(other != lab and refines(other, lab) for other in labelings):
+    for through0, labels in candidates.items():
+        if any(other < through0 for other in candidates):
             continue
-        systems.append(to_partition(lab))
+        classes: dict[int, list[int]] = {}
+        for x, label in enumerate(labels):  # labels are class minima: sorted
+            classes.setdefault(label, []).append(x)
+        systems.append(tuple(tuple(c) for c in classes.values()))
     systems.sort(key=lambda s: (len(s[0]), s))
     return systems

@@ -71,6 +71,17 @@ def block_systems(elements: set[tuple[int, ...]], degree: int) -> list[tuple[tup
     return systems
 
 
+def flag_transitive(elements: set[tuple[int, ...]], blocks: list[tuple[int, ...]]) -> bool:
+    """Whether the orbit of one flag under every element holds all flags.
+
+    The elements must preserve the block multiset.  A flag is a (point,
+    block content) pair here, so repeated blocks leave flags out of reach.
+    """
+    x, first = blocks[0][0], blocks[0]
+    orbit = {(p[x], frozenset(p[y] for y in first)) for p in elements}
+    return len(orbit) == sum(len(blk) for blk in blocks)
+
+
 def pair_count_matrix(v: int, blocks: list[frozenset[int]]) -> dict[tuple[int, int], int]:
     """How many blocks contain each unordered point pair."""
     counts = {(x, y): 0 for x in range(v) for y in range(x + 1, v)}

@@ -1,10 +1,22 @@
 """Tests for the trace/footprint decomposition along an invariant partition."""
 
+import functools
+import hashlib
+import json
+
 import pytest
 
-from symdesign.catalog import DATA_DIR
+from symdesign.catalog import DATA_DIR, entry
+from symdesign.cli import main
 from symdesign.decomp import DecompositionError, decompose
-from symdesign.design import IncidenceStructure, complement, develop, verify_design
+from symdesign.design import (
+    IncidenceStructure,
+    complement,
+    design_to_json,
+    develop,
+    verify_design,
+)
+from symdesign.enumeration import table_rows
 from symdesign.geometry import build_projective_design, restricted_semilinear_group
 from symdesign.perm import PermGroup, minimal_block_systems, parse_generator_file
 
@@ -173,9 +185,133 @@ class TestErrors:
         with pytest.raises(DecompositionError):
             decompose(d, g, parts)
 
+    def test_numbers_off_the_family(self, monkeypatch):
+        # the family check is the one guard on the counting identities, so a
+        # row for another quotient (lambda1 doubled) must fail it
+        from symdesign import decomp
+        real = decomp.make_row
+        monkeypatch.setattr(decomp, "make_row", lambda v0, k0, lambda0, v1, k1, lambda1:
+                            real(v0, k0, lambda0, v1, k1, 2 * lambda1))
+        d, g = fifteen_point_case()
+        with pytest.raises(DecompositionError, match="is not family"):
+            decompose(d, g, minimal_block_systems(g)[0])
+
     def test_non_invariant_partition(self):
         g = d64_group()
         d = develop(g, B1)
         bad = [(2 * i, 2 * i + 1) for i in range(32)]
         with pytest.raises(DecompositionError, match="splits"):
             decompose(d, g, bad)
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+def generator_text(g):
+    return "\n".join(["degree %d" % g.degree]
+                     + [p.cycle_string() for p in g.generators]) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_case(name):
+    """(design, generator file text) of one pinned decompose call."""
+    d64_text = (DATA_DIR / "d64_generators.txt").read_text()
+    if name in ("d64-1", "d64-2"):
+        return entry(name).design, d64_text
+    if name == "pg3_2_complement":
+        d, g = fifteen_point_case()
+    elif name == "pg5_2_complement":
+        d, g = sixty_three_point_case()
+    elif name == "d64-1/translations":
+        d, g = entry("d64-1").design, entry("s-minus-3").group
+    else:
+        d, g = entry(name).design, entry(name).group
+    return d, generator_text(g)
+
+
+# sha256 of [exit code, stdout, stderr] of `decompose` in the table, csv and
+# json formats, recorded before flag-transitivity was read off a point
+# stabilizer, block systems were keyed by their class through 0 and the
+# decomposition's numbers were checked against the enumerated family.
+# s-minus-3 under its translation group is not flag-transitive (exit 1);
+# d64-1 is not invariant under that group (exit 2)
+DECOMPOSE_SHA256 = {
+    "d64-1": (
+        "14993ec2d3f0bc1e55d5999367f0c5caeca9812b8fffb905dd5f0d7acc190706",
+        "4a090bc4ff27a1170a25430128a0494cf8211833c68fe4468b3465968cc0ffd2",
+        "2c3cc9c07e82b34ff65e37c3afd218a4cd80aca4bad0c44986900fa5790b070d"),
+    "d64-2": (
+        "14993ec2d3f0bc1e55d5999367f0c5caeca9812b8fffb905dd5f0d7acc190706",
+        "4a090bc4ff27a1170a25430128a0494cf8211833c68fe4468b3465968cc0ffd2",
+        "2c3cc9c07e82b34ff65e37c3afd218a4cd80aca4bad0c44986900fa5790b070d"),
+    "biplane-2": (
+        "e21e57500fe76c5d6aa5dad566bcc5282e22cec063fffe562d5515a773663068",
+        "60c49b320cb87db033ac5861552dbc00e54da9cde0824a6e25c170e217a99c78",
+        "e3b650b624b7b33a8cfbc8453bf0439ffa952e1dfbee247559d825e8df3a0f64"),
+    "pg3_2_complement": (
+        "8d40377fc90fb255edd58316463317a2825c0d90eeb1a00fe02741f0bbe0d507",
+        "0affd90960c9ca1f0a0c4ea113d90b08e2778096d8d49c89362c9d4f55c4551a",
+        "70ada7b355277c6a9541ba19f26a3fa2c914d0a147dea49e23f12865aec1660f"),
+    "pg5_2_complement": (
+        "6152f3303deafc68fad14dcbc1ceed81260cbecf15f4a4eaca4bff12c09ee582",
+        "dece70022b472ac719af88cb39742128385dbda0e5cd09c35577b04facd4ad15",
+        "a3031ecde31863ad334405f0f0352d7290adc17399da156f295f106a63870eb5"),
+    "s-minus-3": (
+        "fffebe467254291bdddd4fe0a2851e458fe64a1aa7d3f195a46b4de7213c04d2",
+        "fffebe467254291bdddd4fe0a2851e458fe64a1aa7d3f195a46b4de7213c04d2",
+        "fffebe467254291bdddd4fe0a2851e458fe64a1aa7d3f195a46b4de7213c04d2"),
+    "d64-1/translations": (
+        "273f5846bbe2585c9eb5004d98a8785e77100f4c6294a92593323a70f49660e0",
+        "273f5846bbe2585c9eb5004d98a8785e77100f4c6294a92593323a70f49660e0",
+        "273f5846bbe2585c9eb5004d98a8785e77100f4c6294a92593323a70f49660e0"),
+}
+
+# sha256 of the JSON of minimal_block_systems of each pinned case's group,
+# recorded at the same time
+BLOCK_SYSTEMS_SHA256 = {
+    "d64-1": "4bb92989e37cd3338505c1e6ac0edb59b747f068afcc17a6b76bd3a68b7d4ac7",
+    "biplane-2": "3b9dd061903ef71551304ddeeb1e36fcbdf78757d4f355d54c43b952a2e0c498",
+    "pg3_2_complement": "b215fb31494df80848f433113f91eefadb776f28fc2e2bf6afbd73f73476b7f3",
+    "pg5_2_complement": "5e86b7bed9773c6542020fe901094bb5fa00bfa3cf4fa8620c0f81b14bf9c35e",
+    "s-minus-3": "24c27910cc272050ef592aaf5557ecba1964575d4bf61a23a4db53b79741c939",
+}
+
+
+class TestOutputsPinned:
+    @pytest.mark.parametrize("name", list(DECOMPOSE_SHA256))
+    def test_decompose_outputs(self, name, capsys, tmp_path):
+        d, text = pinned_case(name)
+        design, gens = tmp_path / "design.json", tmp_path / "group.gens"
+        design.write_text(design_to_json(d))
+        gens.write_text(text)
+        got = []
+        for fmt in ("table", "csv", "json"):
+            code = main(["decompose", str(design), str(gens), "--format", fmt])
+            captured = capsys.readouterr()
+            record = json.dumps([code, captured.out, captured.err])
+            got.append(hashlib.sha256(record.encode()).hexdigest())
+        assert tuple(got) == DECOMPOSE_SHA256[name]
+
+    @pytest.mark.parametrize("name", list(BLOCK_SYSTEMS_SHA256))
+    def test_minimal_block_systems(self, name):
+        degree, gens = parse_generator_file(pinned_case(name)[1])
+        systems = minimal_block_systems(PermGroup(gens, degree))
+        digest = hashlib.sha256(json.dumps(systems).encode()).hexdigest()
+        assert digest == BLOCK_SYSTEMS_SHA256[name]
+
+
+class TestTableFive:
+    """Each decomposed catalog design lies on exactly one symmetric family."""
+
+    @pytest.mark.parametrize("name", ["d64-1", "d64-2", "biplane-2",
+                                      "pg3_2_complement", "pg5_2_complement"])
+    def test_decomposition_matches_one_row(self, name):
+        d, text = pinned_case(name)
+        degree, gens = parse_generator_file(text)
+        g = PermGroup(gens, degree)
+        dec = decompose(d, g, minimal_block_systems(g)[0])
+        family = (dec.v0, dec.k0, dec.lambda0, dec.v1, dec.k1, dec.lambda1)
+        rows = [r for r in table_rows()["table5"]
+                if (r.v0, r.k0, r.lambda0, r.v1, r.k1, r.lambda1) == family]
+        assert len(rows) == 1
+        assert rows[0].mu_s == dec.mu
+        assert rows[0].theta_at(rows[0].mu_s) == dec.theta

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symdesign.catalog import DATA_DIR
 from symdesign.design import (
@@ -21,6 +21,9 @@ from symdesign.design import (
     verify_design,
 )
 from symdesign.perm import Perm, PermGroup, parse_generator_file
+
+from oracles import closure, flag_transitive
+from test_perm import cycle_strategy, perm_strategy
 
 
 def cyc(*cycles, degree):
@@ -200,6 +203,28 @@ class TestFlagTransitivity:
         g = PermGroup([cyc((0, 1), degree=7)])
         with pytest.raises(DesignError):
             is_flag_transitive(d, g)
+
+    # 1-3 generators on at most 8 points, each a random cycle or permutation,
+    # and a base block to develop under them; the group need not be
+    # transitive, since only the points on blocks carry flags
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(cycle_strategy(n), perm_strategy(n)), min_size=1, max_size=3),
+        st.sets(st.integers(0, n - 1), min_size=1))))
+    @example(([cyc(tuple(range(7)), degree=7), cyc((1, 2, 4), (3, 6, 5), degree=7)],
+              {0, 1, 3}))
+    @example(([cyc(tuple(range(7)), degree=7)], {0, 1, 3}))
+    @example(([cyc((0, 1), degree=4)], {0}))
+    @example(([cyc(tuple(range(6)), degree=6)], {0, 3}))
+    def test_against_flag_orbit_oracle(self, args):
+        gens, base = args
+        g = PermGroup(gens, gens[0].degree)
+        d = develop(g, base)
+        elements = closure([p.img for p in gens])
+        assert is_flag_transitive(d, g) == flag_transitive(elements, list(d.blocks))
+        doubled = list(d.blocks) * 2
+        assert not flag_transitive(elements, doubled)
+        assert not is_flag_transitive(IncidenceStructure(d.v, doubled), g)
 
 
 class TestPointPrimitivity:
