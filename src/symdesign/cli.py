@@ -9,6 +9,7 @@ isomorphism test that ran and answered no), 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -270,6 +271,7 @@ def _version_text() -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symdesign",
@@ -353,6 +355,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; in-process callers share one parser, built on first use."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.version:

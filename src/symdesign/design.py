@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .perm import MAX_POINTS, Perm, PermGroup, minimal_block_systems
+from .perm import MAX_POINTS, Perm, PermGroup, candidate_systems
 
 
 class DesignError(ValueError):
@@ -234,7 +234,7 @@ def is_point_primitive(s: IncidenceStructure, g: PermGroup) -> bool:
         raise ValueError("group degree %d does not match v=%d" % (g.degree, s.v))
     if not g.is_transitive():
         raise ValueError("primitivity requires a transitive group")
-    return not minimal_block_systems(g)
+    return all(len(through0) == s.v for through0, _ in candidate_systems(g))
 
 
 # -- serialization -----------------------------------------------------------

@@ -14,16 +14,17 @@ Only the public ``Perm(...)`` constructor and the parsers check that an
 image tuple is a permutation; products, inverses and the chain code build
 their results unchecked, since they are permutations by construction.
 
-Every chain is built by one Schreier–Sims path.  A group starts from an
-empty chain (just the levels of a base hint) or from a copy of a complete
-one.  Each new generator is stripped through the chain, and a residue
-other than the identity becomes a strong generator at the level where the
-strip stopped; on an empty chain that is the first base point the
-generator moves.  The levels are then completed bottom-up.  Each level
-records which of its Schreier generators are known to sift to the
-identity, so a level nothing new reached returns at once; transversals
-are only ever extended, so only the Schreier generators of new points and
-new generators are sifted again.  Groups derived from a chain reuse it:
+Every chain is built by one Schreier–Sims path, on the first query that
+reads it, not at construction.  A group starts from an empty chain (just
+the levels of a base hint) or from a copy of a complete one.  Each new
+generator is stripped through the chain, and a residue other than the
+identity becomes a strong generator at the level where the strip stopped;
+on an empty chain that is the first base point the generator moves.  The
+levels are then completed bottom-up.  Each level records which of its
+Schreier generators are known to sift to the identity, so a level nothing
+new reached returns at once; transversals are only ever extended, so only
+the Schreier generators of new points and new generators are sifted again.
+Groups derived from a chain reuse it:
 
 * ``extend(g)`` copies the chain and adds ``g`` this way, re-verifying only
   the levels its residue reaches.
@@ -232,19 +233,21 @@ class _OrderReached(Exception):
 class PermGroup:
     """A permutation group with a deterministic Schreier–Sims stabilizer chain.
 
-    The chain is built at construction (see the module docstring).  Base
+    Construction checks the generators and the degree; the chain is built
+    on the first query that reads it (see the module docstring).  Base
     points are the points of ``_base_hint`` (kept even where the group
     fixes them), then the smallest point moved by each new strong
     generator; transversals are grown breadth-first in generator order and
     only ever extended.
 
-    A chain never changes after construction, so ``point_stabilizer`` and
+    A chain never changes once built, so ``point_stabilizer`` and
     ``extend`` can derive new groups from it, and a stabilizer shares its
     levels with the group it was read from.  The private keyword-only
     arguments serve them: ``_base_hint`` fixes the leading base points;
     ``_order`` is the group's order, known in advance, and ends the build
     as soon as the chain reaches it; ``_chain`` is a group generated by a
     prefix of ``generators`` whose chain is copied and extended by the rest.
+    They are kept for the build, so it gives the same chain whenever it runs.
     """
 
     def __init__(
@@ -268,6 +271,19 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._ident = tuple(range(degree))
+        self._pending = (_base_hint, _order, _chain)
+
+    def __getattr__(self, name: str):
+        # reached only while the chain is missing: build it on first read
+        if name not in ("_base", "_lvl_gens", "_trans", "_checked"):
+            raise AttributeError(name)
+        self._build_chain()
+        return vars(self)[name]
+
+    # -- chain construction ------------------------------------------------
+
+    def _build_chain(self) -> None:
+        _base_hint, _order, _chain = vars(self).pop("_pending")
         if _chain is None:
             self._base: list[int] = []
             self._lvl_gens: list[list[Perm]] = []  # _lvl_gens[i] generates the stabilizer of _base[:i]
@@ -299,8 +315,6 @@ class PermGroup:
             # the product of the basic orbit lengths is |G|, so every basic
             # orbit is complete and every Schreier generator sifts
             self._checked = [(len(t), len(g)) for t, g in zip(self._trans, self._lvl_gens)]
-
-    # -- chain construction ------------------------------------------------
 
     def _append_level(self, point: int) -> None:
         self._base.append(point)
@@ -561,6 +575,20 @@ def _finest_system_joining(gens: Sequence[Perm], degree: int, p: int, q: int) ->
     return [find(x) for x in range(degree)]
 
 
+def candidate_systems(group: PermGroup) -> Iterator[tuple[frozenset[int], list[int]]]:
+    """Lazily, the class through 0 and the class labels of the finest block
+    system joining 0 and q, for one q per orbit of the stabilizer of 0 but {0}.
+
+    In a transitive group a system is fixed by its class through 0 (the whole
+    set when no proper system joins 0 and q), and refines another exactly
+    when that class is the smaller.  An h fixing 0 carries the system joining
+    0 and q onto the one joining 0 and h(q), so one q per orbit will do.
+    """
+    for orb in group.point_stabilizer(0).orbits()[1:]:
+        labels = _finest_system_joining(group.generators, group.degree, 0, orb[0])
+        yield frozenset(x for x, label in enumerate(labels) if label == 0), labels
+
+
 def minimal_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
     """All minimal nontrivial block systems of a transitive group.
 
@@ -570,19 +598,8 @@ def minimal_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]
     """
     if not group.is_transitive():
         raise ValueError("block systems require a transitive group")
-    n = group.degree
-    # in a transitive group a block system is the set of images of its class
-    # through 0, so that class fixes the system, and one system refines
-    # another exactly when its class through 0 is the smaller.  An h fixing 0
-    # carries the finest system joining 0 and q onto the one joining 0 and
-    # h(q), and every system is G-invariant, so the two are equal: one q per
-    # orbit of the stabilizer of 0 will do, skipping {0}
-    candidates: dict[frozenset[int], list[int]] = {}
-    for orb in group.point_stabilizer(0).orbits()[1:]:
-        labels = _finest_system_joining(group.generators, n, 0, orb[0])
-        through0 = frozenset(x for x, label in enumerate(labels) if label == 0)
-        if len(through0) < n:
-            candidates[through0] = labels
+    candidates = {through0: labels for through0, labels in candidate_systems(group)
+                  if len(through0) < group.degree}
     systems = []
     for through0, labels in candidates.items():
         if any(other < through0 for other in candidates):

@@ -380,6 +380,24 @@ class TestEntries:
         failures = [(label, detail) for label, ok, detail in report if not ok]
         assert failures == []
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_primitivity_is_having_no_minimal_block_system(self, name):
+        e = entry(name)
+        assert is_point_primitive(e.design, e.group) == (not minimal_block_systems(e.group))
+
+    @pytest.mark.parametrize("name, digest", [
+        ("d64-1", "40dd97c32cae3b1ca3cd89449fc9c089b0c85228ce3b104c85055ed05380a16e"),
+        ("s-minus-3", "77c92e1154e7d1d403c1a9ee0be1f68d2ebe216b16b64dc6d4654040dc443070"),
+        ("pg5_2_complement",
+         "2ebdeb2087894d605ec79597fcb26d1e9de20327e9b92ac90131b70206732367")])
+    def test_group_chains_are_pinned(self, name, digest):
+        """Base, strong generators and transversal points, as recorded when
+        every chain was still built at construction."""
+        g = entry(name).group
+        record = (g.base, [x.img for x in g.strong_generators()],
+                  [list(level) for level in g._trans], g.order())
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+
     def test_corrupted_entry_fails_with_witness(self):
         good = entry("fano")
         blocks = list(good.design.blocks)

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from symdesign import cli
 from symdesign.cli import main
+from symdesign.perm import PermGroup
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = SRC / "symdesign" / "data"
@@ -61,6 +63,50 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and reusing it changes no answer."""
+
+    # usage failures inside and after argparse, the top-level flags, help
+    # texts and valid commands, interleaved
+    ARGVS = (["frobnicate"], [], ["--version"], ["enumerate", "--vmax", "-1"],
+             ["construct", "fano"], ["enumerate", "--table", "table9"],
+             ["claims", "fano"], ["enumerate", "--symmetric", "--format", "csv"],
+             ["diffset"], ["--help"], ["claims", "fano", "--format", "json"],
+             ["construct", "--help"], ["enumerate", "--table", "table5"])
+    CODES = [2, 2, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0, 0]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit:
+            code = exit.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_answers_as_fresh_ones(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        shared = [self.outcome(argv, capsys) for argv in self.ARGVS * 2]
+        assert cli.build_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [self.outcome(argv, capsys) for argv in self.ARGVS * 2]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == self.CODES * 2
+
+
+@pytest.mark.parametrize("name", ["pg5_2_hyperplanes", "pg5_2_complement", "d64-1"])
+def test_construct_builds_no_stabilizer_chain(name, capsys, monkeypatch):
+    """construct only develops a block under the generators: no chain is built."""
+    steps = []
+    for method in ("_build_chain", "_verify_level"):
+        real = getattr(PermGroup, method)
+        monkeypatch.setattr(PermGroup, method, lambda self, *args, real=real:
+                            steps.append(real.__name__) or real(self, *args))
+    assert main(["construct", name]) == 0
+    assert capsys.readouterr().out.startswith('{"v":63,' if "pg5" in name else '{"v":64,')
+    assert steps == []
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symdesign.catalog import DATA_DIR
 from symdesign.design import (
@@ -20,10 +20,10 @@ from symdesign.design import (
     is_point_primitive,
     verify_design,
 )
-from symdesign.perm import Perm, PermGroup, parse_generator_file
+from symdesign.perm import Perm, PermGroup, minimal_block_systems, parse_generator_file
 
 from oracles import closure, flag_transitive
-from test_perm import cycle_strategy, perm_strategy
+from test_perm import C6, D12, PSL27, WREATH, cycle_strategy, perm_strategy
 
 
 def cyc(*cycles, degree):
@@ -248,6 +248,23 @@ class TestPointPrimitivity:
         d = complete_design(4, 2)
         with pytest.raises(ValueError, match="transitive"):
             is_point_primitive(d, PermGroup([cyc((0, 1), degree=4)]))
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            is_point_primitive(complete_design(5, 2), PermGroup(WREATH))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 8).flatmap(lambda n: st.lists(
+        st.one_of(cycle_strategy(n), perm_strategy(n)), min_size=1, max_size=3)))
+    @example(C6)
+    @example(D12)
+    @example(WREATH)
+    @example(PSL27)
+    def test_primitive_exactly_without_minimal_block_systems(self, gens):
+        g = PermGroup(gens, gens[0].degree)
+        assume(g.is_transitive())
+        d = develop(g, [0])
+        assert is_point_primitive(d, g) == (not minimal_block_systems(g))
 
 
 class TestSerialization:

@@ -335,14 +335,81 @@ class TestDerivedChains:
     def test_first_orbit_stabilizer_runs_no_schreier_sims(self, monkeypatch):
         g = PermGroup(PSL27)
         intransitive = PermGroup([cyc((0, 1, 2), degree=5), cyc((3, 4), degree=5)])
-        builds = []
-        real = PermGroup.__init__
+        # reading the chains builds them, before the counting starts
+        first_orbit = list(g._trans[0])
+        assert intransitive.base[0] == 0
+        builds, chains = [], []
+        real, real_chain = PermGroup.__init__, PermGroup._build_chain
         monkeypatch.setattr(PermGroup, "__init__", lambda self, *args, **kwargs:
                             builds.append(self) or real(self, *args, **kwargs))
-        for point in g._trans[0]:
+        monkeypatch.setattr(PermGroup, "_build_chain", lambda self, *args:
+                            chains.append(self) or real_chain(self, *args))
+        for point in first_orbit:
             assert g.point_stabilizer(point).order() == 21
         assert builds == []
+        assert chains == []
         # a moved point outside the first basic orbit costs one build
-        assert intransitive.base[0] == 0
         assert intransitive.point_stabilizer(3).order() == 3
         assert len(builds) == 1
+        assert len(chains) == 1
+
+
+def chain_of(group):
+    """Everything a chain fixes: base, strong generators, the points of each
+    transversal in insertion order, and the order."""
+    return (group.base, group.strong_generators(),
+            [list(level) for level in group._trans], group.order())
+
+
+# each query that can be the first to read a lazily built chain
+FIRST_QUERIES = {
+    "order": lambda g, h, p: g.order(),
+    "contains": lambda g, h, p: g.contains(h),
+    "point_stabilizer": lambda g, h, p: g.point_stabilizer(p).order(),
+    "extend": lambda g, h, p: g.extend(h).order(),
+    "strong_generators": lambda g, h, p: g.strong_generators(),
+    "base": lambda g, h, p: g.base,
+}
+
+
+class TestLazyChains:
+    def test_construction_builds_no_chain(self, monkeypatch):
+        chains = []
+        real = PermGroup._build_chain
+        monkeypatch.setattr(PermGroup, "_build_chain", lambda self, *args:
+                            chains.append(self) or real(self, *args))
+        g = PermGroup(PSL27)
+        assert (g.orbits(), g.is_transitive(), len(g.generators)) == ([list(range(8))], True, 2)
+        assert chains == []
+        assert g.order() == 168
+        assert chains == [g]
+
+    def test_chain_is_the_one_built_at_construction_before(self):
+        g = PermGroup(PSL27)
+        assert g.point_stabilizer(3).order() == 21  # the first read of the chain
+        assert chain_of(g) == (
+            (0, 1, 2),
+            tuple(parse_permutation(c, 8) for c in (
+                "(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)", "(2,8,7,4,3,6,5)", "(3,7,8)(4,6,5)")),
+            [[0, 1, 7, 2, 6, 3, 4, 5], [1, 7, 6, 3, 2, 5, 4], [2, 6, 7]],
+            168)
+
+    def test_missing_attributes_still_raise(self):
+        g = PermGroup(S4)
+        with pytest.raises(AttributeError):
+            g.no_such_attribute
+        assert not hasattr(g, "_no_such_level")
+
+    @settings(deadline=None, max_examples=80)
+    @given(groups_and_points, st.sampled_from(sorted(FIRST_QUERIES)))
+    def test_first_query_does_not_change_the_chain(self, args, query):
+        gens, p, q = args
+        n = gens[0].degree
+        h = Perm.from_cycles([(p, q)], n) if p != q else gens[0] * gens[-1]
+        eager = PermGroup(gens, n)
+        reference = chain_of(eager)  # read at once, as a build in __init__ would
+        lazy = PermGroup(gens, n)
+        FIRST_QUERIES[query](lazy, h, p)
+        assert chain_of(lazy) == reference
+        assert chain_of(lazy.extend(h)) == chain_of(eager.extend(h))
+        assert chain_of(lazy.point_stabilizer(q)) == chain_of(eager.point_stabilizer(q))
