@@ -40,9 +40,14 @@ class DesignParams(NamedTuple):
 
 
 class IncidenceStructure:
-    """Points 0..v-1 and a list of blocks (sorted tuples, duplicates kept)."""
+    """Points 0..v-1 and a list of blocks (sorted tuples, duplicates kept).
 
-    __slots__ = ("v", "blocks", "_index")
+    Treated as immutable.  _aut keeps this object's unhinted automorphism
+    group once iso.automorphism_group has searched it; equality and the
+    hash ignore it.
+    """
+
+    __slots__ = ("v", "blocks", "_index", "_aut")
 
     def __init__(self, v: int, blocks: Iterable[Iterable[int]]):
         if v < 1:
@@ -63,6 +68,7 @@ class IncidenceStructure:
         for i, t in enumerate(self.blocks):
             index.setdefault(t, []).append(i)
         self._index = index
+        self._aut = None
 
     @property
     def b(self) -> int:

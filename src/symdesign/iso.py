@@ -25,6 +25,12 @@ block counts, block sizes, the GF(2) rank of the incidence matrix (Assmus
 and Key, Designs and their Codes, 1992, ch. 2) and the root refinement
 trace.  When they agree, exhausted search is the non-isomorphism
 certificate; no canonical certificates are produced.
+
+An unhinted automorphism group is searched once per structure object and
+kept on it, so isomorphism tests against one target share its group.  It
+is kept per object, not per equal structure, since block order steers the
+refinement and so the generators found; a hinted search neither reads nor
+keeps it.
 """
 
 from __future__ import annotations
@@ -240,7 +246,13 @@ def automorphism_group(s: IncidenceStructure,
 
     A known subgroup may be passed as a starting point.  Only its generators
     that carry the block multiset onto itself are used, so a wrong hint can
-    cost speed but cannot put a non-automorphism into the result.
+    cost speed but cannot put a non-automorphism into the result; one of
+    another degree raises ValueError before any search.
+
+    Without known, the result is kept on s and every later call on s
+    without known returns that same group.  A hinted call neither reads
+    nor keeps it, since a hint changes which generators are found.  Sharing
+    is safe because a PermGroup never changes once built.
 
     One pass over the reference path's nodes, deepest first: below each
     child but the reference one, _search looks for an automorphism outside
@@ -252,10 +264,12 @@ def automorphism_group(s: IncidenceStructure,
     """
     if s.v > MAX_POINTS:
         raise ValueError("supported up to %d points, got v=%d" % (MAX_POINTS, s.v))
-    g = _Graph(s)
-    ref = _ReferencePath(g, _root(g)[0])
     if known is not None and known.degree != s.v:
         raise ValueError("known subgroup degree mismatch")
+    if known is None and s._aut is not None:
+        return s._aut
+    g = _Graph(s)
+    ref = _ReferencePath(g, _root(g)[0])
     group = PermGroup([p for p in (known.generators if known is not None else ())
                        if carries_blocks(p.img, s.blocks, s.blocks)], s.v)
 
@@ -277,6 +291,8 @@ def automorphism_group(s: IncidenceStructure,
                                              accept)) is not None:
                 group = group.extend(new)
                 stabs = prefix_stabilizers(level)
+    if known is None:
+        s._aut = group
     return group
 
 
@@ -288,11 +304,13 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
     at once when non_isomorphism_witness has a witness; otherwise the
     search is exhaustive over the pruned refinement tree, so None is a
     proof.  The search skips branches equivalent under aut2, the target's
-    automorphism group, computed here unless the caller passes it.  A
-    passed aut2 must act on s2's points and each of its generators must
-    carry s2's blocks onto themselves (else ValueError), so it is a
-    subgroup of Aut(s2).  Any such subgroup prunes soundly, since it maps
-    an isomorphism through one branch to one through the other; a smaller
+    automorphism group.  Without aut2 it is automorphism_group(s2), searched
+    on the first such call and kept on s2 for later ones; pass aut2 to use
+    another subgroup, a trivial one for example.  A passed aut2
+    must act on s2's points and each of its generators must carry s2's
+    blocks onto themselves (else ValueError), so it is a subgroup of
+    Aut(s2).  Any such subgroup prunes soundly, since it maps an
+    isomorphism through one branch to one through the other; a smaller
     group only prunes less.
     """
     if aut2 is not None and (aut2.degree != s2.v or not all(

@@ -1,5 +1,7 @@
 """Tests for isomorphism testing and automorphism groups of structures."""
 
+import hashlib
+import json
 import operator
 import random
 from collections import deque
@@ -49,11 +51,13 @@ def assert_same_verdict_with_target_group(s1, s2, got):
     """Passing Aut(s2), or its trivial subgroup, keeps the verdict.
 
     With the full group the search is the one the two-argument call runs,
-    so the map is the same too.
+    so the map is the same too, and so is the map of a repeated
+    two-argument call, which reuses the group kept on s2.
     """
     full = are_isomorphic(s1, s2, automorphism_group(s2))
     trivial = are_isomorphic(s1, s2, PermGroup([], s2.v))
     assert full == got
+    assert are_isomorphic(s1, s2) == got
     assert (trivial is None) == (got is None)
     if trivial is not None:
         assert_witness(s1, s2, trivial)
@@ -224,6 +228,129 @@ class TestIsomorphism:
         assert are_isomorphic(s, d2) is None
 
 
+# sha256 of the JSON list of generator images of each unhinted
+# automorphism_group, and of the point map (or null) are_isomorphic finds
+# onto d64-2 from a relabelled copy (random.Random(64) shuffle) and from
+# s-minus-3; recorded before a structure kept its unhinted group
+AUT64_SHA256 = {
+    "d64-1": "780100c295f56795be477ebe4336906bf69b3cd1f5104101aa28b94bc2df29dc",
+    "d64-2": "713d0d5b803e32c548f4012555fd11174db401a6ffe6026fba00910df7abe70a",
+    "s-minus-3": "29e8effc93045e451b8ad5e7dfe37d94ed74e6a336e95a02ff57a29140f6207c",
+}
+ISO64_SHA256 = {
+    "copy": "ee789011800af4a3b65bda0786957174b457cef63be9a64b086573835522f79c",
+    "s-minus-3": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+}
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """From here on, the argument tuple of each call of iso.<name>."""
+    calls = []
+    real = getattr(iso, name)
+    monkeypatch.setattr(iso, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def digest(data) -> str:
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+class TestPinned64:
+    """Each pin holds on a freshly built structure and again on the same
+    object once its group has been computed."""
+
+    @pytest.mark.parametrize("name", sorted(AUT64_SHA256))
+    def test_automorphism_generators(self, name):
+        s = entry(name).design
+        for _ in range(2):
+            got = [list(p.img) for p in automorphism_group(s).generators]
+            assert digest(got) == AUT64_SHA256[name]
+
+    @pytest.mark.parametrize("source", sorted(ISO64_SHA256))
+    def test_isomorphisms_onto_d64_2(self, source):
+        d2 = entry("d64-2").design
+        if source == "copy":
+            img = list(range(64))
+            random.Random(64).shuffle(img)
+            s1 = relabel(d2, Perm(img))
+        else:
+            s1 = entry(source).design
+        for _ in range(2):
+            m = are_isomorphic(s1, d2)
+            assert digest(None if m is None else list(m.img)) == ISO64_SHA256[source]
+
+
+class TestKeptGroup:
+    """An unhinted automorphism group is searched once per structure object
+    and kept on it; a hinted search neither reads nor keeps it.  Every test
+    builds its own structures, since a kept group would hide a search."""
+
+    def test_second_call_returns_the_same_group(self, monkeypatch):
+        s = fano()
+        first = automorphism_group(s)
+        refines = count_calls(monkeypatch, "_refine")
+        assert automorphism_group(s) is first
+        assert refines == []
+
+    def test_isomorphism_test_reuses_the_target_group(self, monkeypatch):
+        """The one reference path built is s1's own: Aut(s2) is not searched
+        again (two builds when it was)."""
+        s2 = fano()
+        s1 = relabel(s2, Perm((3, 0, 6, 2, 5, 1, 4)))
+        aut = automorphism_group(s2)
+        paths = count_calls(monkeypatch, "_ReferencePath")
+        w = are_isomorphic(s1, s2)
+        assert len(paths) == 1
+        assert_witness(s1, s2, w)
+        assert w == are_isomorphic(s1, s2, aut)
+
+    def test_hinted_call_neither_reads_nor_keeps(self, monkeypatch):
+        ag = build_affine_design(2, 3, 1)
+        s = ag.structure
+        hinted = automorphism_group(s, known=ag.group)
+        assert s._aut is None
+        unhinted = automorphism_group(s)
+        fresh = automorphism_group(IncidenceStructure(s.v, s.blocks))
+        assert unhinted.generators == fresh.generators
+        assert unhinted.generators != hinted.generators
+        paths = count_calls(monkeypatch, "_ReferencePath")
+        again = automorphism_group(s, known=ag.group)
+        assert len(paths) == 1
+        assert again.generators == hinted.generators
+        assert s._aut is unhinted
+
+    def test_equal_structure_in_another_order_searches_its_own(self, monkeypatch):
+        s = fano()
+        blocks = list(s.blocks)
+        random.Random(5).shuffle(blocks)
+        other = IncidenceStructure(s.v, blocks)
+        assert other == s and other.blocks != s.blocks
+        kept = automorphism_group(s)
+        paths = count_calls(monkeypatch, "_ReferencePath")
+        own = automorphism_group(other)
+        assert len(paths) == 1
+        assert own is not kept and own.order() == kept.order() == 168
+
+    def test_equality_and_hash_ignore_the_kept_group(self):
+        s, fresh = fano(), fano()
+        automorphism_group(s)
+        assert s._aut is not None and fresh._aut is None
+        assert s == fresh and hash(s) == hash(fresh)
+
+    def test_bad_hint_fails_before_any_work(self, monkeypatch):
+        """The degree check comes first, before the graph and the reference
+        path are built, and also on a structure that keeps its group."""
+        s = fano()
+        kept = automorphism_group(s)
+        graphs = count_calls(monkeypatch, "_Graph")
+        paths = count_calls(monkeypatch, "_ReferencePath")
+        for t in (s, fano()):
+            with pytest.raises(ValueError, match="^known subgroup degree mismatch$"):
+                automorphism_group(t, known=PermGroup([], 8))
+        assert graphs == paths == []
+        assert s._aut is kept
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_random_relabeling_always_found(data):
@@ -377,7 +504,8 @@ def test_guided_refinement_stops_only_off_the_expected_trace(data, s, other):
 
 def test_aut_search_makes_one_pass_over_the_reference_path(monkeypatch):
     """The reference path of d64-1 is 7 refinements: the root and 6
-    levels, the only calls without an expected trace.  The search walks
+    levels, the only calls without an expected trace.  entry builds a new
+    design on each call, so no group is kept on it yet.  The search walks
     that path once, deepest node first, and goes on with a node's next
     child after each of its 9 generators, so Aut(d64-1) makes 87 candidate
     refinements, 94 in all (175 when it restarted from the root after each
