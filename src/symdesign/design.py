@@ -95,7 +95,10 @@ def verify_design(s: IncidenceStructure) -> DesignParams:
     """Check the 2-design axioms, returning the parameters.
 
     Raises DesignError naming the first violated axiom with a witness
-    (a block, point, or point pair).
+    (a block, point, or point pair).  Each point's blocks are one integer
+    bitset over the block indices, read from a string of 0s and 1s (or-ing
+    in one bit at a time is quadratic in b); replication and pair coverage
+    are the popcounts of a bitset and of two bitsets' intersection.
     """
     if s.v < 2:
         raise DesignError("need v >= 2 points, got v=%d" % s.v)
@@ -111,32 +114,26 @@ def verify_design(s: IncidenceStructure) -> DesignParams:
     if k < 2:
         raise DesignError("block size k=%d is below 2" % k)
 
-    rcount = [0] * s.v
-    for blk in s.blocks:
+    rows = [bytearray(b"0") * s.b for _ in range(s.v)]
+    for j, blk in enumerate(s.blocks):
         for x in blk:
-            rcount[x] += 1
-    r = rcount[0]
-    for x in range(s.v):
-        if rcount[x] != r:
+            rows[x][j] = 49  # ord("1")
+    masks = [int(row, 2) for row in rows]
+    r = masks[0].bit_count()
+    for x, mask in enumerate(masks):
+        if mask.bit_count() != r:
             raise DesignError(
                 "replication is not constant: point 0 lies in %d blocks, point %d in %d"
-                % (r, x, rcount[x])
+                % (r, x, mask.bit_count())
             )
 
-    paircount = [[0] * s.v for _ in range(s.v)]
-    for blk in s.blocks:
-        for a in range(len(blk)):
-            xa = blk[a]
-            row = paircount[xa]
-            for bidx in range(a + 1, len(blk)):
-                row[blk[bidx]] += 1
-    lam = paircount[0][1] if s.v > 1 else 0
-    for x in range(s.v):
+    lam = (masks[0] & masks[1]).bit_count()
+    for x, mask in enumerate(masks):
         for y in range(x + 1, s.v):
-            if paircount[x][y] != lam:
+            if (count := (mask & masks[y]).bit_count()) != lam:
                 raise DesignError(
                     "pair coverage is not constant: pair (0,1) lies in %d blocks, "
-                    "pair (%d,%d) in %d" % (lam, x, y, paircount[x][y])
+                    "pair (%d,%d) in %d" % (lam, x, y, count)
                 )
     if lam == 0:
         raise DesignError("no pair lies in any block (lambda = 0)")
@@ -155,22 +152,30 @@ def complement(s: IncidenceStructure) -> IncidenceStructure:
 
 
 def develop(g: PermGroup | Sequence[Perm], base: Iterable[int]) -> IncidenceStructure:
-    """The orbit of a base block under a group, as an incidence structure."""
-    gens = g.generators if isinstance(g, PermGroup) else tuple(g)
-    degree = max(p.degree for p in gens) if gens else 0
+    """The orbit of a base block under a group, as an incidence structure:
+    on a PermGroup's degree (a base point outside it raises ValueError), or
+    on the largest generator degree or base point plus one for a list."""
     start = frozenset(base)
     if not start:
         raise ValueError("base block is empty")
-    degree = max(degree, max(start) + 1)
+    if isinstance(g, PermGroup):
+        gens, degree = g.generators, g.degree
+        if max(start) >= degree:
+            raise ValueError("base point %d outside the group's %d points"
+                             % (max(start), degree))
+    else:
+        gens = tuple(g)
+        degree = max([p.degree for p in gens] + [max(start) + 1])
+    imgs = [p.img for p in gens]
     seen = {start}
     queue = [start]
     while queue:
         blk = queue.pop()
-        for p in gens:
-            img = p.apply_to_set(blk)
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
+        for img in imgs:
+            blk_img = frozenset([img[x] for x in blk])
+            if blk_img not in seen:
+                seen.add(blk_img)
+                queue.append(blk_img)
     return IncidenceStructure(degree, sorted(tuple(sorted(blk)) for blk in seen))
 
 
@@ -184,9 +189,9 @@ def induced_block_action(s: IncidenceStructure, p: Perm) -> Perm:
     if p.degree != s.v:
         raise ValueError("permutation degree %d does not match v=%d" % (p.degree, s.v))
     spare = {content: list(ids) for content, ids in s._index.items()}
-    img = [0] * s.b
+    img, p_img = [0] * s.b, p.img
     for i, blk in enumerate(s.blocks):
-        target = tuple(sorted(p[x] for x in blk))
+        target = tuple(sorted([p_img[x] for x in blk]))
         ids = spare.get(target)
         if not ids:
             raise DesignError(

@@ -30,11 +30,13 @@ An unhinted automorphism group is searched once per structure object and
 kept on it, so isomorphism tests against one target share its group.  It
 is kept per object, not per equal structure, since block order steers the
 refinement and so the generators found; a hinted search neither reads nor
-keeps it.
+keeps it.  A hint whose generators are all automorphisms is itself the
+starting group, so a chain its caller has built is not built again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
 
@@ -79,6 +81,14 @@ def _refine(adj: list[int], cells: list[tuple[int, ...]], splitters: deque[int],
     cannot split.  Given expect, returns None as soon as the trace stops
     being a prefix of it, so the caller still compares the whole trace.
 
+    Point cells come before block cells (the root is [points, blocks] and
+    only point cells are individualized), so the sides are held apart, each
+    with the indices of its non-singleton cells, and a splitter visits only
+    those of the other side, in list order; a trace index is still the
+    position in the whole list, written back before returning.  Unlike
+    McKay and Piperno's (2014) neighbourhood variant, no neighbourhood of
+    the splitter is computed.
+
     A split queues every fragment but the largest, the first of maximal
     size in count order, so relabelling cannot change the choice.  A
     vertex's count into the omitted fragment is its count into the parent
@@ -90,33 +100,40 @@ def _refine(adj: list[int], cells: list[tuple[int, ...]], splitters: deque[int],
     refinement; only its cell order and the trace depend on the rule.  With
     every, a split queues all its fragments, as the root refinement does.
     """
+    n_points = bisect_left(cells, True, key=lambda c: c[0] >= v)
+    sides = (cells[:n_points], cells[n_points:])
+    live = [[i for i, c in enumerate(side) if len(c) > 1] for side in sides]
     trace = []
-    while splitters:
-        s_mask = splitters.popleft()
-        split_points = s_mask >> v != 0
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) > 1 and (cell[0] < v) == split_points:
+    try:
+        while splitters:
+            s_mask = splitters.popleft()
+            t = 0 if s_mask >> v else 1  # a splitter with blocks splits point cells
+            side, offset, still, shift = sides[t], t * len(sides[0]), [], 0
+            for i in live[t]:
+                i += shift
                 groups: dict[int, list[int]] = {}
-                for u in cell:
+                for u in side[i]:
                     groups.setdefault((adj[u] & s_mask).bit_count(), []).append(u)
-                if len(groups) > 1:
-                    counts = sorted(groups)
-                    parts = [tuple(groups[c]) for c in counts]
-                    cells[i:i + 1] = parts
-                    sizes = tuple(map(len, parts))
-                    record = (i, tuple(counts), sizes)
-                    if expect is not None and (len(trace) == len(expect)
-                                               or expect[len(trace)] != record):
-                        return None
-                    trace.append(record)
-                    largest = -1 if every else sizes.index(max(sizes))
-                    splitters.extend(_mask(p) for j, p in enumerate(parts) if j != largest)
-                    i += len(parts)
+                if len(groups) == 1:
+                    still.append(i)
                     continue
-            i += 1
-    return tuple(trace)
+                counts = sorted(groups)
+                parts = [tuple(groups[c]) for c in counts]
+                side[i:i + 1] = parts
+                sizes = tuple(map(len, parts))
+                record = (offset + i, tuple(counts), sizes)
+                if expect is not None and (len(trace) == len(expect)
+                                           or expect[len(trace)] != record):
+                    return None
+                trace.append(record)
+                still.extend(i + j for j, size in enumerate(sizes) if size > 1)
+                shift += len(parts) - 1
+                largest = -1 if every else sizes.index(max(sizes))
+                splitters.extend(_mask(p) for j, p in enumerate(parts) if j != largest)
+            live[t] = still
+        return tuple(trace)
+    finally:
+        cells[:] = sides[0] + sides[1]
 
 
 def _individualize(cells: list[tuple[int, ...]], idx: int,
@@ -247,7 +264,11 @@ def automorphism_group(s: IncidenceStructure,
     A known subgroup may be passed as a starting point.  Only its generators
     that carry the block multiset onto itself are used, so a wrong hint can
     cost speed but cannot put a non-automorphism into the result; one of
-    another degree raises ValueError before any search.
+    another degree raises ValueError before any search.  When all of them
+    pass, the search starts from known itself, reusing any chain already
+    built (known comes back when nothing is added); else from a new group
+    on those that pass.  The search reads only membership, orbits and
+    stabilizers, so the generators found do not depend on the chain.
 
     Without known, the result is kept on s and every later call on s
     without known returns that same group.  A hinted call neither reads
@@ -270,8 +291,9 @@ def automorphism_group(s: IncidenceStructure,
         return s._aut
     g = _Graph(s)
     ref = _ReferencePath(g, _root(g)[0])
-    group = PermGroup([p for p in (known.generators if known is not None else ())
-                       if carries_blocks(p.img, s.blocks, s.blocks)], s.v)
+    hint = known.generators if known is not None else ()
+    kept = [p for p in hint if carries_blocks(p.img, s.blocks, s.blocks)]
+    group = known if known is not None and len(kept) == len(hint) else PermGroup(kept, s.v)
 
     def accept(img: list[int]) -> Perm | None:
         p = Perm(img)

@@ -558,6 +558,7 @@ def _finest_system_joining(gens: Sequence[Perm], degree: int, p: int, q: int) ->
     smallest member.
     """
     parent = list(range(degree))
+    imgs = [g.img for g in gens]
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -571,7 +572,7 @@ def _finest_system_joining(gens: Sequence[Perm], degree: int, p: int, q: int) ->
         ra, rb = sorted((find(a), find(b)))
         if ra != rb:
             parent[rb] = ra
-            queue.extend((g[ra], g[rb]) for g in gens)
+            queue.extend((img[ra], img[rb]) for img in imgs)
     return [find(x) for x in range(degree)]
 
 

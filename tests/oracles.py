@@ -158,3 +158,89 @@ def first_isomorphism(v: int, blocks1: list[tuple[int, ...]],
         if _maps_blocks(p, blocks1, blockset2, counter2):
             return p
     return None
+
+
+def design_check(v: int, blocks: list[tuple[int, ...]]) -> tuple:
+    """The 2-design check by a v x v pair table filled block by block.
+
+    ("ok", (v, b, k, r, lambda)) for a design, else ("error", message) with
+    the message of the first failed axiom, in the order and wording of
+    design.verify_design.
+    """
+    if v < 2:
+        return "error", "need v >= 2 points, got v=%d" % v
+    if not blocks:
+        return "error", "no blocks"
+    k = len(blocks[0])
+    for i, blk in enumerate(blocks):
+        if len(blk) != k:
+            return "error", ("blocks have unequal sizes: block 0 has %d points, "
+                             "block %d has %d" % (k, i, len(blk)))
+    if k < 2:
+        return "error", "block size k=%d is below 2" % k
+    rcount = [0] * v
+    for blk in blocks:
+        for x in blk:
+            rcount[x] += 1
+    r = rcount[0]
+    for x in range(v):
+        if rcount[x] != r:
+            return "error", ("replication is not constant: point 0 lies in %d blocks, "
+                             "point %d in %d" % (r, x, rcount[x]))
+    paircount = [[0] * v for _ in range(v)]
+    for blk in blocks:
+        for a in range(len(blk)):
+            for c in range(a + 1, len(blk)):
+                paircount[blk[a]][blk[c]] += 1
+    lam = paircount[0][1]
+    for x in range(v):
+        for y in range(x + 1, v):
+            if paircount[x][y] != lam:
+                return "error", ("pair coverage is not constant: pair (0,1) lies in %d "
+                                 "blocks, pair (%d,%d) in %d" % (lam, x, y, paircount[x][y]))
+    if lam == 0:
+        return "error", "no pair lies in any block (lambda = 0)"
+    return "ok", (v, len(blocks), k, r, lam)
+
+
+def refine_scan(adj: list[int], cells: list[tuple[int, ...]], splitters,
+                v: int, expect: tuple | None = None, every: bool = False) -> tuple | None:
+    """Equitable refinement by a scan of the whole cell list per splitter.
+
+    The contract of iso._refine: adj[u] is vertex u's neighbourhood as a
+    bitset, vertices below v are points, cells are tuples of vertices (split
+    in place) and splitters a deque of vertex bitsets (consumed).  Each
+    splitter visits every cell in list order and splits the non-singleton
+    cells of the other side by neighbour count, fragments in ascending count
+    order; a split queues all fragments with every, else all but the first
+    largest.  Returns the tuple of (index, counts, sizes) split records, or
+    None at the first record that leaves expect.
+    """
+    trace = []
+    while splitters:
+        s_mask = splitters.popleft()
+        split_points = s_mask >> v != 0
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) > 1 and (cell[0] < v) == split_points:
+                groups: dict[int, list[int]] = {}
+                for u in cell:
+                    groups.setdefault(bin(adj[u] & s_mask).count("1"), []).append(u)
+                if len(groups) > 1:
+                    counts = sorted(groups)
+                    parts = [tuple(groups[c]) for c in counts]
+                    cells[i:i + 1] = parts
+                    sizes = tuple(map(len, parts))
+                    record = (i, tuple(counts), sizes)
+                    if expect is not None and (len(trace) == len(expect)
+                                               or expect[len(trace)] != record):
+                        return None
+                    trace.append(record)
+                    largest = -1 if every else sizes.index(max(sizes))
+                    splitters.extend(sum(1 << u for u in p)
+                                     for j, p in enumerate(parts) if j != largest)
+                    i += len(parts)
+                    continue
+            i += 1
+    return tuple(trace)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from symdesign import catalog
 from symdesign.catalog import (
     B1,
@@ -87,6 +88,16 @@ DIFFERENCE_SETS_SHA256 = \
 # multiplier orbits
 BIPLANE_CLASSES_SHA256 = \
     "f7be168bfd725651a809586c70182e0fca192982d6f51335b44bae26cfddc544"
+
+
+def count_chain_builds(monkeypatch) -> list:
+    """From here on, the generators of each group whose chain is built."""
+    builds = []
+    real = PermGroup._build_chain
+    monkeypatch.setattr(PermGroup, "_build_chain",
+                        lambda self: builds.append(self.generators) or real(self))
+    return builds
+
 
 ALL_NAMES = ([name for name in names() if name != "complete(v,k)"]
              + ["complete(6,3)", "complete(8,7)"])
@@ -379,6 +390,22 @@ class TestEntries:
         assert report, name
         failures = [(label, detail) for label, ok, detail in report if not ok]
         assert failures == []
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_verify_design_matches_the_pair_table(self, name):
+        d = entry(name).design
+        assert oracles.design_check(d.v, list(d.blocks)) == ("ok", tuple(verify_design(d)))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_claims_build_the_entry_chain_at_most_once(self, name, monkeypatch):
+        """Every check reads one chain of the entry group; the hinted |Aut|
+        search starts from that group instead of a copy of its generators.
+        One build, or none when the entry's construction built it."""
+        e = entry(name)
+        built = "_pending" not in vars(e.group)
+        builds = count_chain_builds(monkeypatch)
+        run_claims(e)
+        assert builds.count(e.group.generators) == (0 if built else 1)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_primitivity_is_having_no_minimal_block_system(self, name):

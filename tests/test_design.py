@@ -22,7 +22,7 @@ from symdesign.design import (
 )
 from symdesign.perm import Perm, PermGroup, minimal_block_systems, parse_generator_file
 
-from oracles import closure, flag_transitive
+from oracles import closure, design_check, flag_transitive
 from test_perm import C6, D12, PSL27, WREATH, cycle_strategy, perm_strategy
 
 
@@ -53,6 +53,29 @@ def numpy_pair_oracle(s):
     if np.ptp(diag) != 0 or np.ptp(off) != 0 or off[0] == 0:
         return None
     return int(diag[0]), int(off[0])
+
+
+@st.composite
+def structure_cases(draw):
+    """Structures on at most 20 points that reach every axiom check: random
+    blocks (unequal sizes, replication that varies), the translates of one
+    random set mod v (constant replication, pair counts that vary, pair
+    (0,1) often in no block, sometimes a difference set), and complete
+    designs; each possibly repeated, then possibly with one block replaced."""
+    v = draw(st.integers(1, 20))
+    subsets = st.sets(st.integers(0, v - 1), min_size=1, max_size=v)
+    kind = draw(st.sampled_from(["random", "cyclic", "complete"]))
+    if kind == "cyclic":
+        base = draw(subsets)
+        blocks = [[(x + t) % v for x in base] for t in range(v)]
+    elif kind == "complete" and 3 <= v <= 8:
+        blocks = list(itertools.combinations(range(v), draw(st.integers(2, v - 1))))
+    else:
+        blocks = draw(st.lists(subsets, max_size=12))
+    blocks *= draw(st.integers(1, 2))
+    if blocks and draw(st.booleans()):
+        blocks[draw(st.integers(0, len(blocks) - 1))] = draw(subsets)
+    return IncidenceStructure(v, blocks)
 
 
 class TestVerify:
@@ -112,6 +135,17 @@ class TestVerify:
         s = IncidenceStructure(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert numpy_pair_oracle(s) is None
 
+    @settings(deadline=None, max_examples=400)
+    @given(structure_cases())
+    def test_same_verdict_as_the_pair_table(self, s):
+        """Equal parameters, or the same DesignError message, as a v x v
+        pair table filled block by block."""
+        try:
+            got = ("ok", tuple(verify_design(s)))
+        except DesignError as err:
+            got = ("error", str(err))
+        assert got == design_check(s.v, list(s.blocks))
+
 
 class TestComplement:
     def test_involution(self):
@@ -134,6 +168,18 @@ class TestDevelop:
     def test_identity_group_single_block(self):
         d = develop([], {0, 1})
         assert d.v == 2 and d.blocks == ((0, 1),)
+
+    def test_group_without_generators_keeps_its_degree(self):
+        d = develop(PermGroup([], 10), [0, 1])
+        assert d.v == 10 and d.blocks == ((0, 1),)
+
+    def test_base_point_outside_the_group_rejected(self):
+        with pytest.raises(ValueError, match="outside the group's 4 points"):
+            develop(PermGroup([], 4), [1, 4])
+
+    def test_generator_degree_above_every_base_point(self):
+        d = develop([cyc((0, 1), degree=9)], {0, 2})
+        assert d.v == 9 and d.blocks == ((0, 2), (1, 2))
 
     def test_s4_pairs(self):
         s4 = [cyc((0, 1), degree=4), cyc((0, 1, 2, 3), degree=4)]

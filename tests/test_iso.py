@@ -98,6 +98,28 @@ class TestAutomorphismGroups:
         for g in a.generators:
             induced_block_action(s, g)  # raises if not block-preserving
 
+    def test_hint_of_automorphisms_is_the_starting_group(self, monkeypatch):
+        """A hint whose generators all carry the blocks is extended as it is:
+        its chain, already built, is not built again over the same
+        generators.  The result's generators are the ones a new group on the
+        hint's generators gives, whatever chain the hint has, and a hint of
+        the whole group comes back itself."""
+        s = fano()
+        frobenius = [Perm.from_cycles([(0, 1, 2, 3, 4, 5, 6)], 7), Perm((0, 2, 4, 6, 1, 3, 5))]
+        hint = PermGroup(frobenius, 7)
+        assert hint.order() == 21
+        builds = []
+        real = PermGroup._build_chain
+        monkeypatch.setattr(PermGroup, "_build_chain",
+                            lambda g: builds.append(g.generators) or real(g))
+        a = automorphism_group(s, known=hint)
+        assert a.order() == 168 and a.generators[:2] == hint.generators
+        assert hint.generators not in builds
+        for other in (PermGroup(frobenius, 7), PermGroup(frobenius, 7, _base_hint=[3, 5])):
+            assert automorphism_group(s, known=other).generators == a.generators
+        assert automorphism_group(s, known=a) is a
+        assert s._aut is None
+
     def test_complement_has_same_group(self):
         s = fano()
         a1 = automorphism_group(s)
@@ -500,6 +522,50 @@ def test_guided_refinement_stops_only_off_the_expected_trace(data, s, other):
     if guided is not None:
         assert guided == unguided and guided_cells == unguided_cells
     assert (guided == expect) == (unguided == expect)
+
+
+@st.composite
+def bipartite_colorings(draw):
+    """A random incidence graph on v points and b blocks, an ordered
+    partition of the points followed by one of the blocks, and a few
+    splitters, each a set of vertices on one side."""
+    v, b = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    adj = [0] * (v + b)
+    for j in range(v, v + b):
+        for x in draw(st.sets(st.integers(0, v - 1))):
+            adj[x] |= 1 << j
+            adj[j] |= 1 << x
+    cells = []
+    for side in (range(v), range(v, v + b)):
+        order = draw(st.permutations(side))
+        cuts = sorted(draw(st.sets(st.integers(1, max(len(order) - 1, 1)))))
+        cells += [tuple(order[i:j]) for i, j in zip([0] + cuts, cuts + [len(order)])
+                  if order[i:j]]
+    splitters = draw(st.lists(st.sampled_from(cells).flatmap(
+        lambda c: st.sets(st.sampled_from(c), min_size=1)).map(iso._mask),
+        min_size=1, max_size=4))
+    return adj, cells, splitters, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), bipartite_colorings(), st.booleans())
+def test_live_cells_per_side_match_the_whole_list_scan(data, coloring, every):
+    """Visiting only the live cells of the other side gives the return
+    value and final cells of a scan over the whole list, with and without
+    expect: on the unguided trace, a prefix, a longer trace and one with
+    a record changed."""
+    adj, cells, splitters, v = coloring
+    unguided = oracles.refine_scan(adj, list(cells), deque(splitters), v, None, every)
+    cut = data.draw(st.integers(0, len(unguided)))
+    bent = [unguided[:cut], unguided + ((0, (0, 1), (1, 1)),)]
+    if cut < len(unguided):
+        i, counts, sizes = unguided[cut]
+        bent.append(unguided[:cut] + ((i + 1, counts, sizes),) + unguided[cut + 1:])
+    for expect in [None, unguided] + bent:
+        want_cells, got_cells = list(cells), list(cells)
+        want = oracles.refine_scan(adj, want_cells, deque(splitters), v, expect, every)
+        got = iso._refine(adj, got_cells, deque(splitters), v, expect, every)
+        assert (got, got_cells) == (want, want_cells)
 
 
 def test_aut_search_makes_one_pass_over_the_reference_path(monkeypatch):
