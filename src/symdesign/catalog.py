@@ -84,7 +84,8 @@ def _d64(h: int) -> tuple[IncidenceStructure, PermGroup]:
     """Development of base block B1 or B2 under the order-43008 group."""
     degree, gens = _embedded_group()
     base = [p - 1 for p in (B1, B2)[h - 1]]
-    return develop(list(gens), base), PermGroup(list(gens), degree)
+    group = PermGroup(gens, degree)
+    return develop(group, base), group
 
 
 def _quadric_zero_set() -> list[int]:

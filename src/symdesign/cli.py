@@ -154,12 +154,7 @@ def cmd_decompose(args) -> int:
     except DecompositionError as err:
         print("decomposition failed: %s" % err)
         return EXIT_FALSE
-    fields = {
-        "v0": d.v0, "k0": d.k0, "lambda0": d.lambda0,
-        "r0": d.d0_params.r, "b0": d.d0_params.b, "theta": d.theta,
-        "v1": d.v1, "k1": d.k1, "lambda1": d.d1_params.lam,
-        "r1": d.d1_params.r, "b1": d.d1_params.b, "mu": d.mu,
-    }
+    fields = d.fields()
     if args.format == "json":
         print(json.dumps(fields))
     elif args.format == "csv":

@@ -1,12 +1,22 @@
 """Decomposition of an imprimitive flag-transitive design along its partition.
 
-Given a 2-design, a flag-transitive group, and an invariant partition of the
-points into v1 classes of size v0, every block meets every class in 0 or k0
-points.  Collapsing equal traces on one class gives the inner design D0;
-collapsing blocks with equal class-footprints gives the quotient design D1.
-Two multiplicities fall out: theta, the number of blocks sharing one trace,
-and mu, the number sharing one footprint.  The numbers are checked once,
-against the family of enumeration.make_row named by D0 and D1 at this mu.
+Let G be flag-transitive on a 2-design and preserve a partition of the
+points into v1 classes of size v0.  Then every block meets every class in
+0 or k0 points, and the blocks split two ways (Camina and Zieschang): the
+traces on one class form the inner design D0, each trace shared by theta
+blocks, and the footprints (the sets of classes a block meets) form the
+quotient design D1, each footprint shared by mu blocks.
+
+Three facts make each number constant, so it is read once, from one
+representative.  G_B is transitive on the points of B, so B meets each
+class it meets in the same k0 points; lambda >= 1 and v0 >= 2 put two
+points of a class in one block, so k0 >= 2, and k = k0 k1.  G is
+transitive on blocks, so every footprint has the multiplicity mu of
+block 0's.  The stabilizer of a class is transitive on the blocks that
+meet it, so every trace on class 0 has the multiplicity theta of the
+first.  Point-transitivity also makes the classes equal in size.  The
+numbers are then certified once, against the family of enumeration.make_row
+named by D0 and D1 at this mu.
 """
 
 from __future__ import annotations
@@ -46,17 +56,22 @@ class CZDecomposition:
     lambda1: int
     params: DesignParams
 
+    def fields(self) -> dict[str, int | None]:
+        """The twelve Table 5 columns, in order."""
+        p0, p1 = self.d0_params, self.d1_params
+        return {"v0": self.v0, "k0": self.k0, "lambda0": self.lambda0,
+                "r0": p0.r, "b0": p0.b, "theta": self.theta,
+                "v1": self.v1, "k1": self.k1, "lambda1": self.lambda1,
+                "r1": p1.r, "b1": p1.b, "mu": self.mu}
+
     def table_row(self) -> str:
-        lam0 = "-" if self.lambda0 is None else str(self.lambda0)
-        return "%d %d %s %d %d %d | %d %d %d %d %d | %d" % (
-            self.v0, self.k0, lam0, self.d0_params.r, self.d0_params.b, self.theta,
-            self.v1, self.k1, self.lambda1, self.d1_params.r, self.d1_params.b,
-            self.mu,
-        )
+        cells = ["-" if x is None else str(x) for x in self.fields().values()]
+        return " | ".join((" ".join(cells[:6]), " ".join(cells[6:11]), cells[11]))
 
 
-def _check_partition(s: IncidenceStructure, g: PermGroup,
-                     sigma: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def _check_partition(s: IncidenceStructure, g: PermGroup, sigma: Sequence[Sequence[int]]
+                     ) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The classes, sorted by smallest point, and each point's class index."""
     classes = tuple(tuple(sorted(c)) for c in sigma)
     classes = tuple(sorted(classes, key=lambda c: c[0]))
     flat = sorted(x for c in classes for x in c)
@@ -64,9 +79,6 @@ def _check_partition(s: IncidenceStructure, g: PermGroup,
         raise DecompositionError("sigma is not a partition of the points")
     if len(classes) < 2 or len(classes[0]) < 2:
         raise DecompositionError("sigma must be nontrivial")
-    sizes = {len(c) for c in classes}
-    if len(sizes) != 1:
-        raise DecompositionError("classes have unequal sizes %s" % sorted(sizes))
     member = {x: i for i, c in enumerate(classes) for x in c}
     for p in g.generators:
         for c in classes:
@@ -75,7 +87,7 @@ def _check_partition(s: IncidenceStructure, g: PermGroup,
                 raise DecompositionError(
                     "generator %r splits class %r across classes" % (p, c)
                 )
-    return classes
+    return classes, member
 
 
 def decompose(s: IncidenceStructure, g: PermGroup,
@@ -84,74 +96,23 @@ def decompose(s: IncidenceStructure, g: PermGroup,
     params = verify_design(s)
     if not is_flag_transitive(s, g):
         raise DecompositionError("group is not flag-transitive on the design")
-    classes = _check_partition(s, g, sigma)
-    v0 = len(classes[0])
-    v1 = len(classes)
-    member = {x: i for i, c in enumerate(classes) for x in c}
-    class_sets = [frozenset(c) for c in classes]
+    classes, member = _check_partition(s, g, sigma)
+    v0, v1 = len(classes[0]), len(classes)
 
-    # two-valued intersection: |B meet Delta| = 0 or k0, for every pair
-    k0 = 0
-    for bi, blk in enumerate(s.blocks):
-        hits = Counter(member[x] for x in blk)
-        for ci, n in hits.items():
-            if k0 == 0:
-                k0 = n
-            elif n != k0:
-                raise DecompositionError(
-                    "block %d meets class %d in %d points, expected 0 or %d"
-                    % (bi, ci, n, k0)
-                )
-    if k0 < 2:
-        raise DecompositionError("intersection constant k0=%d is below 2" % k0)
-    if params.k % k0:
-        raise DecompositionError("k0=%d does not divide k=%d" % (k0, params.k))
-    k1 = params.k // k0
-
-    # footprints: which classes each block meets; constant size k1, each
-    # footprint shared by exactly mu blocks
-    footprints = []
-    for bi, blk in enumerate(s.blocks):
-        fp = frozenset(member[x] for x in blk)
-        if len(fp) != k1:
-            raise DecompositionError(
-                "block %d meets %d classes, expected k1=%d" % (bi, len(fp), k1)
-            )
-        footprints.append(fp)
-    fp_counts = Counter(footprints)
-    mu_values = set(fp_counts.values())
-    if len(mu_values) != 1:
-        raise DecompositionError(
-            "footprint multiplicity is not constant: %s" % sorted(mu_values)
-        )
-    mu = mu_values.pop()
-
-    # traces on the first class; blocks sharing a trace come in theta-packs
-    def trace_counter(ci: int) -> Counter:
-        out = Counter()
-        for blk in s.blocks:
-            t = class_sets[ci].intersection(blk)
-            if t:
-                out[t] += 1
-        return out
-
-    traces = trace_counter(0)
-    theta_values = set(traces.values())
-    if len(theta_values) != 1:
-        raise DecompositionError(
-            "trace multiplicity on class 0 is not constant: %s" % sorted(theta_values)
-        )
-    theta = theta_values.pop()
-    # all classes are equivalent under the group; spot-check one more
-    other = trace_counter(1)
-    if sorted(other.values()) != sorted(traces.values()) or len(other) != len(traces):
-        raise DecompositionError("classes 0 and 1 disagree on trace structure")
+    blk = s.blocks[0]
+    k0 = sum(member[x] == member[blk[0]] for x in blk)
+    footprints = Counter(frozenset(member[x] for x in b) for b in s.blocks)
+    fp = frozenset(member[x] for x in blk)
+    k1, mu = len(fp), footprints[fp]
+    class0 = frozenset(classes[0])
+    traces = Counter(t for b in s.blocks if (t := class0.intersection(b)))
+    theta = next(iter(traces.values()))
 
     relabel0 = {x: i for i, x in enumerate(classes[0])}
     d0 = IncidenceStructure(
         v0, sorted(tuple(sorted(relabel0[x] for x in t)) for t in traces)
     )
-    d1 = IncidenceStructure(v1, sorted(tuple(sorted(fp)) for fp in fp_counts))
+    d1 = IncidenceStructure(v1, sorted(tuple(sorted(f)) for f in footprints))
     d0_params = verify_design(d0)
     d1_params = verify_design(d1)
 
@@ -171,4 +132,3 @@ def decompose(s: IncidenceStructure, g: PermGroup,
         lambda0=None if complete_inner(v0, k0) else d0_params.lam,
         lambda1=d1_params.lam, params=params,
     )
-

@@ -135,8 +135,6 @@ def verify_design(s: IncidenceStructure) -> DesignParams:
                     "pair coverage is not constant: pair (0,1) lies in %d blocks, "
                     "pair (%d,%d) in %d" % (lam, x, y, count)
                 )
-    if lam == 0:
-        raise DesignError("no pair lies in any block (lambda = 0)")
     return DesignParams(s.v, s.b, k, r, lam)
 
 
@@ -151,22 +149,16 @@ def complement(s: IncidenceStructure) -> IncidenceStructure:
     return IncidenceStructure(s.v, [sorted(points.difference(blk)) for blk in s.blocks])
 
 
-def develop(g: PermGroup | Sequence[Perm], base: Iterable[int]) -> IncidenceStructure:
-    """The orbit of a base block under a group, as an incidence structure:
-    on a PermGroup's degree (a base point outside it raises ValueError), or
-    on the largest generator degree or base point plus one for a list."""
+def develop(g: PermGroup, base: Iterable[int]) -> IncidenceStructure:
+    """The orbit of a base block under a group, as an incidence structure on
+    the group's degree; a base point outside it raises ValueError."""
     start = frozenset(base)
     if not start:
         raise ValueError("base block is empty")
-    if isinstance(g, PermGroup):
-        gens, degree = g.generators, g.degree
-        if max(start) >= degree:
-            raise ValueError("base point %d outside the group's %d points"
-                             % (max(start), degree))
-    else:
-        gens = tuple(g)
-        degree = max([p.degree for p in gens] + [max(start) + 1])
-    imgs = [p.img for p in gens]
+    if max(start) >= g.degree:
+        raise ValueError("base point %d outside the group's %d points"
+                         % (max(start), g.degree))
+    imgs = [p.img for p in g.generators]
     seen = {start}
     queue = [start]
     while queue:
@@ -176,7 +168,7 @@ def develop(g: PermGroup | Sequence[Perm], base: Iterable[int]) -> IncidenceStru
             if blk_img not in seen:
                 seen.add(blk_img)
                 queue.append(blk_img)
-    return IncidenceStructure(degree, sorted(tuple(sorted(blk)) for blk in seen))
+    return IncidenceStructure(g.degree, sorted(tuple(sorted(blk)) for blk in seen))
 
 
 def induced_block_action(s: IncidenceStructure, p: Perm) -> Perm:

@@ -8,8 +8,8 @@ is 1.  Everything downstream relies on this ordering being stable.
 
 Every design here is flag-transitive, so it is built as the orbit of one
 flat under its semilinear group (AGammaL on affine space, PGammaL on
-projective space): design.develop of the group's generators and a base
-block.  _semilinear_maps is the one list of GammaL generators, shared with
+projective space): design.develop of a base block under that group.
+_semilinear_maps is the one list of GammaL generators, shared with
 restricted_semilinear_group.
 """
 
@@ -112,7 +112,8 @@ def build_affine_design(dim: int, q: int, block_dim: int) -> GeometryDesign:
     gens = [_perm_from_point_map(points, fn)
             for fn in translations + _semilinear_maps(field, dim)]
     base = [i for i, p in enumerate(points) if not any(p[block_dim:])]
-    return GeometryDesign(develop(gens, base), PermGroup(gens, len(points)))
+    group = PermGroup(gens, len(points))
+    return GeometryDesign(develop(group, base), group)
 
 
 def _normalize_projective(field: GF, p: tuple[int, ...]) -> tuple[int, ...]:
@@ -139,7 +140,8 @@ def build_projective_design(dim: int, q: int, hyperplanes: bool = False) -> Geom
             for fn in _semilinear_maps(field, dim + 1)]
     base = [i for i, p in enumerate(points)
             if (p[0] == 0 if hyperplanes else not any(p[2:]))]
-    return GeometryDesign(develop(gens, base), PermGroup(gens, npoints))
+    group = PermGroup(gens, npoints)
+    return GeometryDesign(develop(group, base), group)
 
 
 def restricted_semilinear_group(n: int) -> PermGroup:

@@ -469,12 +469,8 @@ class PermGroup:
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
-            if g.degree < self.degree:
-                g = g.extended(self.degree)
-            elif any(g[x] != x for x in range(self.degree, g.degree)):
-                return False
-            else:
-                g = _perm(g.img[: self.degree])
+            raise ValueError("permutation degree %d does not match the group's %d"
+                             % (g.degree, self.degree))
         residue, _ = self._strip(g.img, 0)
         return residue == self._ident
 

@@ -198,8 +198,6 @@ def design_check(v: int, blocks: list[tuple[int, ...]]) -> tuple:
             if paircount[x][y] != lam:
                 return "error", ("pair coverage is not constant: pair (0,1) lies in %d "
                                  "blocks, pair (%d,%d) in %d" % (lam, x, y, paircount[x][y]))
-    if lam == 0:
-        return "error", "no pair lies in any block (lambda = 0)"
     return "ok", (v, len(blocks), k, r, lam)
 
 

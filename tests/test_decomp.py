@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,22 +14,11 @@ from symdesign.design import (
     IncidenceStructure,
     complement,
     design_to_json,
-    develop,
     verify_design,
 )
 from symdesign.enumeration import table_rows
 from symdesign.geometry import build_projective_design, restricted_semilinear_group
 from symdesign.perm import PermGroup, minimal_block_systems, parse_generator_file
-
-
-def d64_group():
-    degree, gens = parse_generator_file(
-        (DATA_DIR / "d64_generators.txt").read_text())
-    return PermGroup(gens)
-
-
-B1 = [x - 1 for x in (9, 11, 13, 15, 17, 20, 22, 23, 25, 26, 31, 32, 33, 35,
-                      38, 40, 41, 42, 43, 44, 49, 50, 53, 54, 57, 58, 61, 62)]
 
 
 def fifteen_point_case():
@@ -43,9 +33,8 @@ def sixty_three_point_case():
 
 
 @pytest.fixture(scope="module")
-def decomposed():
-    g = d64_group()
-    d = develop(g, B1)
+def decomposed(d64):
+    g, d = d64.group, d64.d1
     sigma = minimal_block_systems(g)[0]
     return decompose(d, g, sigma), d
 
@@ -88,9 +77,9 @@ class TestMainExample:
         dec, _ = decomposed
         assert dec.table_row() == "8 4 3 7 14 4 | 8 7 6 7 8 | 8"
 
-    def test_trace_structure_carried_by_generators(self, decomposed):
+    def test_trace_structure_carried_by_generators(self, decomposed, d64):
         dec, d = decomposed
-        g = d64_group()
+        g = d64.group
         # traces on the image class of sigma[0] are the images of D0's traces
         for p in g.generators[:3]:
             image_class = p.apply_to_set(dec.sigma[0])
@@ -133,10 +122,9 @@ class TestSixtyThreePoints:
 
 
 class TestIdentities:
-    def test_rel1_rel2_all_cases(self):
+    def test_rel1_rel2_all_cases(self, d64):
         cases = []
-        g64 = d64_group()
-        cases.append((develop(g64, B1), g64))
+        cases.append((d64.d1, d64.group))
         cases.append(fifteen_point_case())
         cases.append(sixty_three_point_case())
         for d, g in cases:
@@ -149,9 +137,8 @@ class TestIdentities:
             if dec.lambda0 is not None:
                 assert p.lam == dec.theta * dec.lambda0
 
-    def test_bounds_trichotomy(self):
-        g64 = d64_group()
-        for d, g in ((develop(g64, B1), g64), fifteen_point_case()):
+    def test_bounds_trichotomy(self, d64):
+        for d, g in ((d64.d1, d64.group), fifteen_point_case()):
             dec = decompose(d, g, minimal_block_systems(g)[0])
             assert dec.v0 > dec.k0 >= 2
             case_a = dec.k0 == 2
@@ -161,9 +148,8 @@ class TestIdentities:
 
 
 class TestErrors:
-    def test_not_flag_transitive(self):
-        g = d64_group()
-        d = develop(g, B1)
+    def test_not_flag_transitive(self, d64):
+        g, d = d64.group, d64.d1
         small = PermGroup([g.generators[0]], 64)
         sigma = minimal_block_systems(g)[0]
         with pytest.raises(DecompositionError, match="flag-transitive"):
@@ -196,9 +182,8 @@ class TestErrors:
         with pytest.raises(DecompositionError, match="is not family"):
             decompose(d, g, minimal_block_systems(g)[0])
 
-    def test_non_invariant_partition(self):
-        g = d64_group()
-        d = develop(g, B1)
+    def test_non_invariant_partition(self, d64):
+        g, d = d64.group, d64.d1
         bad = [(2 * i, 2 * i + 1) for i in range(32)]
         with pytest.raises(DecompositionError, match="splits"):
             decompose(d, g, bad)
@@ -315,3 +300,34 @@ class TestTableFive:
         assert len(rows) == 1
         assert rows[0].mu_s == dec.mu
         assert rows[0].theta_at(rows[0].mu_s) == dec.theta
+
+
+class TestCountsReadOnce:
+    """decompose reads k0 off one block, mu off one footprint and theta off
+    one trace, since flag-transitivity makes each constant; here each is
+    counted on every block, footprint and class instead."""
+
+    @pytest.mark.parametrize("name", ["d64-1", "d64-2", "biplane-2", "pg3_2_complement",
+                                      "pg5_2_complement", "fifteen_point_case"])
+    def test_every_count_is_the_one_read(self, name):
+        if name == "fifteen_point_case":
+            d, g = fifteen_point_case()
+        else:
+            d, text = pinned_case(name)
+            degree, gens = parse_generator_file(text)
+            g = PermGroup(gens, degree)
+        systems = minimal_block_systems(g)
+        assert systems
+        for sigma in systems:
+            dec = decompose(d, g, sigma)
+            member = {x: i for i, c in enumerate(dec.sigma) for x in c}
+            meets = [Counter(member[x] for x in blk) for blk in d.blocks]
+            # every block meets every class in 0 or k0 points
+            assert {n for m in meets for n in m.values()} == {dec.k0}
+            footprints = Counter(frozenset(m) for m in meets)
+            assert {len(f) for f in footprints} == {dec.k1}
+            assert set(footprints.values()) == {dec.mu}
+            for c in dec.sigma:
+                traces = Counter(frozenset(c).intersection(blk) for blk in d.blocks)
+                del traces[frozenset()]
+                assert set(traces.values()) == {dec.theta}

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from symdesign.catalog import DATA_DIR
 from symdesign.design import (
     DesignError,
     IncidenceStructure,
@@ -20,7 +19,7 @@ from symdesign.design import (
     is_point_primitive,
     verify_design,
 )
-from symdesign.perm import Perm, PermGroup, minimal_block_systems, parse_generator_file
+from symdesign.perm import Perm, PermGroup, minimal_block_systems
 
 from oracles import closure, design_check, flag_transitive
 from test_perm import C6, D12, PSL27, WREATH, cycle_strategy, perm_strategy
@@ -32,7 +31,7 @@ def cyc(*cycles, degree):
 
 def fano():
     # development of {0,1,3} under x -> x+1 (mod 7)
-    return develop([cyc(tuple(range(7)), degree=7)], {0, 1, 3})
+    return develop(PermGroup([cyc(tuple(range(7)), degree=7)]), {0, 1, 3})
 
 
 def complete_design(v, k):
@@ -85,13 +84,8 @@ class TestVerify:
     def test_complete_design_on_four_points(self):
         assert verify_design(complete_design(4, 2)) == (4, 6, 2, 3, 1)
 
-    def test_d64_development(self):
-        degree, gens = parse_generator_file(
-            (DATA_DIR / "d64_generators.txt").read_text())
-        b1 = [x - 1 for x in (9, 11, 13, 15, 17, 20, 22, 23, 25, 26, 31, 32,
-                              33, 35, 38, 40, 41, 42, 43, 44, 49, 50, 53, 54,
-                              57, 58, 61, 62)]
-        d = develop(PermGroup(gens), b1)
+    def test_d64_development(self, d64):
+        d = develop(d64.group, d64.base1)
         assert verify_design(d) == (64, 64, 28, 28, 12)
 
     def test_repeated_blocks_count_with_multiplicity(self):
@@ -165,10 +159,6 @@ class TestComplement:
 
 
 class TestDevelop:
-    def test_identity_group_single_block(self):
-        d = develop([], {0, 1})
-        assert d.v == 2 and d.blocks == ((0, 1),)
-
     def test_group_without_generators_keeps_its_degree(self):
         d = develop(PermGroup([], 10), [0, 1])
         assert d.v == 10 and d.blocks == ((0, 1),)
@@ -177,12 +167,8 @@ class TestDevelop:
         with pytest.raises(ValueError, match="outside the group's 4 points"):
             develop(PermGroup([], 4), [1, 4])
 
-    def test_generator_degree_above_every_base_point(self):
-        d = develop([cyc((0, 1), degree=9)], {0, 2})
-        assert d.v == 9 and d.blocks == ((0, 2), (1, 2))
-
     def test_s4_pairs(self):
-        s4 = [cyc((0, 1), degree=4), cyc((0, 1, 2, 3), degree=4)]
+        s4 = PermGroup([cyc((0, 1), degree=4), cyc((0, 1, 2, 3), degree=4)])
         d = develop(s4, {0, 1})
         assert d.blocks == tuple(itertools.combinations(range(4), 2))
 
@@ -354,8 +340,9 @@ class TestRandomized:
             st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 1))))
     def test_develop_always_admits_group(self, args):
         imgs, base = args
+        n = len(imgs[0])
         gens = [Perm(t) for t in imgs]
-        d = develop(gens, base)
+        d = develop(PermGroup(gens, n), base)
         for g in gens:
             g = g.extended(d.v) if g.degree < d.v else g
             assert carries_blocks(g.img, d.blocks, d.blocks)

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,18 +9,12 @@ from hypothesis import strategies as st
 
 from symdesign import diffset
 from symdesign.catalog import order16_groups
-from symdesign.design import DesignError, IncidenceStructure, develop, \
-    induced_block_action, verify_design
+from symdesign.design import DesignError, induced_block_action, verify_design
 from symdesign.diffset import BudgetExhausted, RegularAction, \
     develop_difference_set, difference_set_representatives, difference_sets, \
     find_regular_subgroups, group_automorphisms, is_difference_set
 from symdesign.iso import automorphism_group
-from symdesign.perm import Perm, PermGroup, parse_generator_file
-
-DATA = Path(__file__).resolve().parent.parent / "src" / "symdesign" / "data"
-
-B1 = [9, 11, 13, 15, 17, 20, 22, 23, 25, 26, 31, 32, 33, 35, 38, 40, 41, 42,
-      43, 44, 49, 50, 53, 54, 57, 58, 61, 62]
+from symdesign.perm import Perm, PermGroup
 
 
 def translation_group() -> PermGroup:
@@ -314,16 +307,9 @@ def test_semiregular_walk_matches_the_cycle_type(p):
     assert diffset._semiregular(p) == want
 
 
-@pytest.fixture(scope="module")
-def d64() -> IncidenceStructure:
-    degree, gens = parse_generator_file(
-        (DATA / "d64_generators.txt").read_text())
-    return develop(gens, [p - 1 for p in B1])
-
-
 class TestMainDesign:
     def test_regular_subgroup_recovers_the_design(self, d64):
-        aut = automorphism_group(d64)
+        aut = automorphism_group(d64.d1)
         actions = find_regular_subgroups(aut, limit=1)
         assert len(actions) == 1
         action = actions[0]
@@ -331,8 +317,8 @@ class TestMainDesign:
         # a regular 2-subgroup: every element order is a power of two
         assert all(p.order() & (p.order() - 1) == 0
                    for p in action.group.iter_elements())
-        d = [p - 1 for p in B1]
+        d = d64.base1
         ok, report = is_difference_set(action, d, 12)
         assert ok and report == []
         dev = develop_difference_set(action, d)
-        assert dev.block_multiset() == d64.block_multiset()
+        assert dev.block_multiset() == d64.d1.block_multiset()

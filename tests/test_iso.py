@@ -13,28 +13,16 @@ from hypothesis import strategies as st
 
 import oracles
 from symdesign import iso
-from symdesign.catalog import DATA_DIR, biplane_classes, entry
+from symdesign.catalog import biplane_classes, entry
 from symdesign.design import IncidenceStructure, carries_blocks, complement, develop, \
     induced_block_action
 from symdesign.geometry import build_affine_design, build_projective_design
 from symdesign.iso import are_isomorphic, automorphism_group
-from symdesign.perm import Perm, PermGroup, parse_generator_file
+from symdesign.perm import Perm, PermGroup
 
 
 def fano():
-    return develop([Perm.from_cycles([(0, 1, 2, 3, 4, 5, 6)], 7)], (0, 1, 3))
-
-
-def d64_pair():
-    degree, gens = parse_generator_file(
-        (DATA_DIR / "d64_generators.txt").read_text())
-    b1 = [x - 1 for x in (9, 11, 13, 15, 17, 20, 22, 23, 25, 26, 31, 32, 33,
-                          35, 38, 40, 41, 42, 43, 44, 49, 50, 53, 54, 57, 58,
-                          61, 62)]
-    b2 = [x - 1 for x in (10, 12, 14, 16, 18, 19, 21, 24, 27, 28, 29, 30, 34,
-                          36, 37, 39, 45, 46, 47, 48, 51, 52, 55, 56, 59, 60,
-                          63, 64)]
-    return develop(gens, b1), develop(gens, b2), PermGroup(gens, degree)
+    return develop(PermGroup([Perm.from_cycles([(0, 1, 2, 3, 4, 5, 6)], 7)]), (0, 1, 3))
 
 
 def relabel(s: IncidenceStructure, p: Perm) -> IncidenceStructure:
@@ -143,8 +131,8 @@ class TestAutomorphismGroups:
         with pytest.raises(ValueError, match="100"):
             automorphism_group(s)
 
-    def test_d64_order_and_containment(self):
-        d1, _, g = d64_pair()
+    def test_d64_order_and_containment(self, d64):
+        d1, g = d64.d1, d64.group
         a = automorphism_group(d1, known=g)
         assert a.order() == 43008
         cold = automorphism_group(d1)
@@ -238,8 +226,8 @@ class TestIsomorphism:
         with pytest.raises(ValueError, match="aut2"):
             are_isomorphic(s, s, PermGroup([], 8))
 
-    def test_d64_designs_not_isomorphic(self):
-        d1, d2, _ = d64_pair()
+    def test_d64_designs_not_isomorphic(self, d64):
+        d1, d2 = d64.d1, d64.d2
         assert are_isomorphic(d1, d2) is None
 
     def test_equal_rank_pair_takes_the_exhaustive_search(self):

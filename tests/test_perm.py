@@ -177,6 +177,15 @@ class TestChainOrders:
         # an odd permutation is outside PSL(2,7)
         assert cyc((0, 1), degree=8) not in g
 
+    def test_membership_of_another_degree_rejected(self):
+        g = PermGroup(S4)
+        for p in (cyc((0, 1), degree=3), cyc((0, 1), degree=5), Perm.identity(5)):
+            with pytest.raises(ValueError, match="degree %d does not match the group's 4"
+                               % p.degree):
+                g.contains(p)
+            with pytest.raises(ValueError):
+                p in g
+
     def test_iter_elements_enumerates_exactly(self):
         g = PermGroup(A5)
         got = {p.img for p in g.iter_elements()}
