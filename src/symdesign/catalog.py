@@ -4,11 +4,12 @@ One ordered table lists the catalog: the paper's five entries, then one
 row per classical geometry.  Every row is a builder, its arguments and the
 entry's claims; a builder returns the design and the group it was built
 with, and entry() turns a row, or a complete(v,k) name, into a
-CatalogEntry.  The claims (parameters, automorphism group order,
-transitivity properties) are re-checked from scratch by run_claims.  The
-two 64-point developments are read from the generator strings shipped in
-data/, the third 64-point design comes from an elliptic quadratic form,
-and the 16-point biplanes fall out of the difference sets in the regular
+CatalogEntry, a NamedTuple with its own copy of the claims.  The claims
+(parameters, automorphism group order, transitivity properties) are
+re-checked from scratch by run_claims.  The two 64-point developments are
+read from the generator strings shipped in data/, the third 64-point
+design develops an elliptic quadric's zero set under translations, and
+the 16-point biplanes fall out of the difference sets in the regular
 representations of all fourteen groups of order 16, each one row of
 presentation parameters under one product rule.  Of the representatives
 that diffset.difference_set_representatives keeps, one per development,
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import comb, factorial
 from pathlib import Path
+from typing import NamedTuple
 
 from .design import (
     IncidenceStructure,
@@ -65,12 +66,11 @@ AUT_ORDER_LIMIT = 10 ** 11
 COMPLETE_BLOCK_LIMIT = 200_000
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     design: IncidenceStructure
     group: PermGroup
-    claims: dict = field(default_factory=dict)
+    claims: dict
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .design import (
     DesignParams,
@@ -39,8 +39,7 @@ class DecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CZDecomposition:
+class CZDecomposition(NamedTuple):
     sigma: tuple[tuple[int, ...], ...]
     v0: int
     v1: int

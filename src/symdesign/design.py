@@ -47,7 +47,7 @@ class IncidenceStructure:
     hash ignore it.
     """
 
-    __slots__ = ("v", "blocks", "_index", "_aut")
+    __slots__ = ("v", "blocks", "_aut")
 
     def __init__(self, v: int, blocks: Iterable[Iterable[int]]):
         if v < 1:
@@ -64,10 +64,6 @@ class IncidenceStructure:
             cleaned.append(t)
         self.v = v
         self.blocks = tuple(cleaned)
-        index: dict[tuple[int, ...], list[int]] = {}
-        for i, t in enumerate(self.blocks):
-            index.setdefault(t, []).append(i)
-        self._index = index
         self._aut = None
 
     @property
@@ -180,7 +176,9 @@ def induced_block_action(s: IncidenceStructure, p: Perm) -> Perm:
     """
     if p.degree != s.v:
         raise ValueError("permutation degree %d does not match v=%d" % (p.degree, s.v))
-    spare = {content: list(ids) for content, ids in s._index.items()}
+    spare: dict[tuple[int, ...], list[int]] = {}
+    for i, blk in enumerate(s.blocks):
+        spare.setdefault(blk, []).append(i)
     img, p_img = [0] * s.b, p.img
     for i, blk in enumerate(s.blocks):
         target = tuple(sorted([p_img[x] for x in blk]))

@@ -5,9 +5,9 @@ elements; a k-subset is a (n, k, lambda) difference set when every
 non-identity element has exactly lambda representations as a quotient of
 two of its elements.  Developing the subset under the action yields a
 symmetric design with the group as a point-regular automorphism group.
-is_difference_set checks one subset and difference_set_representatives
-finds one per development, base point first; both count quotients through
-the same table, and difference_sets lists every translate of those.
+Point p stands for the element carrying 0 to p, so point 0 is the identity.
+is_difference_set checks one subset and difference_set_representatives finds
+one per development, through point 0, counting quotients in the same table.
 
 A group automorphism (a multiplier) maps a difference set and its
 development onto another's; multiplier_orbit closes a set's orbit under the
@@ -15,8 +15,8 @@ certified generators from group_automorphisms, keeping each image as the
 translate that difference_set_representatives would keep.
 
 find_regular_subgroups recovers such actions inside a given automorphism
-group by depth-first search over the elements mapping the base point to
-each successive uncovered point.  In a regular group every non-identity
+group by depth-first search over the elements mapping point 0 to each
+successive uncovered point.  In a regular group every non-identity
 element is fixed-point-free with all cycles of equal length, so candidates
 are filtered to that shape before any closure is computed.
 """
@@ -35,42 +35,41 @@ class BudgetExhausted(RuntimeError):
 
 
 class RegularAction:
-    """A group acting regularly, with the point-to-element bijection."""
+    """A group acting regularly; element_of[p] is the element taking 0 to p."""
 
-    def __init__(self, group: PermGroup, base: int, element_of: dict[int, Perm]):
+    def __init__(self, group: PermGroup, element_of: dict[int, Perm]):
         if not group.is_regular():
             raise ValueError("group of order %d is not regular on %d points"
                              % (group.order(), group.degree))
         if len(element_of) != group.degree:
             raise ValueError("element_of must cover all %d points" % group.degree)
         for point, g in element_of.items():
-            if g[base] != point:
-                raise ValueError("element for point %d moves base to %d"
-                                 % (point, g[base]))
+            if g[0] != point:
+                raise ValueError("element for point %d moves 0 to %d"
+                                 % (point, g[0]))
         self.group = group
-        self.base = base
         self.element_of = dict(element_of)
 
     @classmethod
-    def from_group(cls, group: PermGroup, base: int = 0) -> "RegularAction":
+    def from_group(cls, group: PermGroup) -> "RegularAction":
         if group.order() != group.degree:
             raise ValueError("group of order %d cannot act regularly on %d points"
                              % (group.order(), group.degree))
-        element_of = {g[base]: g for g in group.iter_elements()}
-        return cls(group, base, element_of)
+        element_of = {g[0]: g for g in group.iter_elements()}
+        return cls(group, element_of)
 
     @property
     def degree(self) -> int:
         return self.group.degree
 
     def __repr__(self) -> str:
-        return "RegularAction(order %d, base %d)" % (self.group.order(), self.base)
+        return "RegularAction(order %d)" % self.group.order()
 
 
 def _quotient_rows(action: RegularAction, points: Sequence[int]) -> list[tuple[int, ...]]:
-    """Row q is the image tuple of d_q^{-1}, which carries q to the base
-    point; entry p names the quotient d_p * d_q^{-1} by the point it sends
-    the base point to, as the action is regular."""
+    """Row q is the image tuple of d_q^{-1}, which carries q to point 0;
+    entry p names the quotient d_p * d_q^{-1} by the point it sends 0 to,
+    as the action is regular."""
     return [action.element_of[q].inv().img for q in points]
 
 
@@ -89,27 +88,26 @@ def is_difference_set(action: RegularAction, d: Iterable[int],
         for p in points:
             counts[row[p]] += 1
     report = [(action.element_of[x], counts[x]) for x in range(action.degree)
-              if x != action.base and counts[x] != lam]
+              if x and counts[x] != lam]
     return (not report, report)
 
 
 def _smallest_translate(rows: Sequence[tuple[int, ...]],
                         d: Sequence[int]) -> tuple[int, ...]:
-    """The smallest translate of d through the base point: row p of d for p
-    in d, with rows from _quotient_rows over every point."""
+    """The smallest translate of d through point 0: row p of d for p in d,
+    with rows from _quotient_rows over every point."""
     return min((tuple(sorted(rows[p][x] for x in d)) for p in d), default=())
 
 
 def difference_set_representatives(action: RegularAction, k: int,
                                    lam: int) -> list[tuple[int, ...]]:
     """One difference set per development, lexicographically: the smallest
-    of its translates through the base point (row p of d for p in d), which
-    for base point 0 is the development's smallest block.  The base point
-    is chosen first, then the others in increasing order, and a prefix is
-    dropped once one of its quotients is counted more than lambda times."""
-    n, base = action.degree, action.base
+    of its translates through point 0 (row p of d for p in d), which is the
+    development's smallest block.  Points are chosen in increasing order,
+    point 0 first, and a prefix is dropped once one of its quotients is
+    counted more than lambda times."""
+    n = action.degree
     rows = _quotient_rows(action, range(n))
-    order = [base] + [x for x in range(n) if x != base]
     counts = [0] * n
     chosen: list[int] = []
     found: list[tuple[int, ...]] = []
@@ -117,12 +115,11 @@ def difference_set_representatives(action: RegularAction, k: int,
     def extend(start: int) -> None:
         if len(chosen) == k:
             d = tuple(sorted(chosen))
-            if (all(c == lam for x, c in enumerate(counts) if x != base)
+            if (all(c == lam for c in counts[1:])
                     and d == _smallest_translate(rows, d)):
                 found.append(d)
             return
-        for i in range(start, n - k + len(chosen) + 1 if chosen else 1):
-            x = order[i]
+        for x in range(start, n - k + len(chosen) + 1 if chosen else 1):
             row = rows[x]
             added = []
             for s in chosen:
@@ -138,7 +135,7 @@ def difference_set_representatives(action: RegularAction, k: int,
                     break
             else:
                 chosen.append(x)
-                extend(i + 1)
+                extend(x + 1)
                 chosen.pop()
             for c in added:
                 counts[c] -= 1
@@ -148,19 +145,19 @@ def difference_set_representatives(action: RegularAction, k: int,
 
 
 def group_automorphisms(action: RegularAction) -> list[Perm]:
-    """Generators of Aut(G) as point maps fixing the base point, each
+    """Generators of Aut(G) as point maps fixing point 0, each
     certified to preserve the table M[x][y] = element_of[y][x], the point of
     the product of x and y.  A map is fixed by its images of the letters,
     the points of G's generators.  Level i, last letter first, adds maps
     fixing the letters before it that send letter i outside its orbit under
     the maps found so far, whose group holds every map fixing letter i too
     (the stabilizer-chain scheme); images are tried among elements of one order."""
-    n, base = action.degree, action.base
+    n = action.degree
     table = [[action.element_of[y][x] for y in range(n)] for x in range(n)]
-    letters = [g[base] for g in action.group.generators if g[base] != base]
+    letters = [g[0] for g in action.group.generators if g[0]]
     orders = [action.element_of[x].order() for x in range(n)]
     images_of = [[t for t in range(n) if orders[t] == orders[a]] for a in letters]
-    steps, reached = [], [base]  # each point as an earlier point times a letter
+    steps, reached = [], [0]  # each point as an earlier point times a letter
     for x in reached:
         for j, a in enumerate(letters):
             if (y := table[x][a]) not in reached:
@@ -171,7 +168,7 @@ def group_automorphisms(action: RegularAction) -> list[Perm]:
         if len(images) < len(letters):
             return next((sigma for t in images_of[len(images)]
                          if (sigma := search(images + [t]))), None)
-        img = [base] * n
+        img = [0] * n
         for y, x, j in steps:
             img[y] = table[img[x]][images[j]]
         if len(set(img)) == n and all(img[table[x][y]] == table[img[x]][img[y]]
@@ -193,7 +190,7 @@ def group_automorphisms(action: RegularAction) -> list[Perm]:
 def multiplier_orbit(action: RegularAction, d: Sequence[int],
                      automorphisms: Sequence[Perm]) -> dict[tuple[int, ...], Perm]:
     """The difference sets that the group generated by `automorphisms` maps
-    d onto, each as its smallest translate through the base point, with one
+    d onto, each as its smallest translate through point 0, with one
     such map; it carries the development of d onto that of the image."""
     rows = _quotient_rows(action, range(action.degree))
     queue = [(_smallest_translate(rows, d), Perm.identity(action.degree))]
@@ -204,14 +201,6 @@ def multiplier_orbit(action: RegularAction, d: Sequence[int],
                 orbit[image] = sigma * a
                 queue.append((image, orbit[image]))
     return orbit
-
-
-def difference_sets(action: RegularAction, k: int, lam: int) -> list[tuple[int, ...]]:
-    """Every k-subset that is a difference set with lambda, lexicographically:
-    every translate of every representative."""
-    return sorted({tuple(sorted(g.apply_to_set(d)))
-                   for d in difference_set_representatives(action, k, lam)
-                   for g in action.element_of.values()})
 
 
 def develop_difference_set(action: RegularAction, d: Iterable[int]) -> IncidenceStructure:
@@ -251,8 +240,8 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
                            budget: int = 100_000) -> list[RegularAction]:
     """Up to `limit` regular subgroups of a transitive group, depth-first.
 
-    Each regular subgroup contains exactly one element sending the base
-    point 0 to any given point, so extending by the least uncovered point
+    Each regular subgroup contains exactly one element sending point 0 to
+    any given point, so extending by the least uncovered point
     visits every regular subgroup along a unique path; the enumeration
     order is therefore deterministic.  `budget` bounds the number of
     subgroup closures computed.  An empty result means none exist; running
@@ -305,7 +294,7 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
     def action_from(elems: set[Perm], gens: list[Perm]) -> RegularAction:
         sub = PermGroup(gens, n)
         assert sub.order() == n
-        return RegularAction(sub, 0, {h[0]: h for h in elems})
+        return RegularAction(sub, {h[0]: h for h in elems})
 
     def dfs(gens: list[Perm], elems: set[Perm]) -> None:
         nonlocal nodes
@@ -326,8 +315,9 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
             if nodes > budget:
                 raise BudgetExhausted(
                     "no regular subgroup found within %d closure nodes" % budget)
+            # closure admits no fixed point: semiregular, so its order divides n
             new = closure(gens + [cand])
-            if new is None or n % len(new):
+            if new is None:
                 continue
             dfs(gens + [cand], new)
             if len(found) >= limit:

@@ -15,9 +15,9 @@ restricted_semilinear_group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
+from typing import NamedTuple
 
 from .design import IncidenceStructure, develop
 from .perm import Perm, PermGroup
@@ -60,8 +60,7 @@ class GF:
         return a
 
 
-@dataclass(frozen=True)
-class GeometryDesign:
+class GeometryDesign(NamedTuple):
     structure: IncidenceStructure
     group: PermGroup
 

@@ -128,12 +128,6 @@ class Perm:
         cycs = self.cycles()
         return math.lcm(*(len(c) for c in cycs)) if cycs else 1
 
-    def extended(self, degree: int) -> "Perm":
-        """Same permutation viewed on a larger domain (new points fixed)."""
-        if degree < self.degree:
-            raise ValueError("cannot shrink a permutation")
-        return _perm(self.img + tuple(range(self.degree, degree)))
-
     def apply_to_set(self, points: Iterable[int]) -> frozenset[int]:
         return frozenset(self.img[x] for x in points)
 
@@ -233,8 +227,8 @@ class _OrderReached(Exception):
 class PermGroup:
     """A permutation group with a deterministic Schreier–Sims stabilizer chain.
 
-    Construction checks the generators and the degree; the chain is built
-    on the first query that reads it (see the module docstring).  Base
+    Every generator must have the group's degree (by default the largest);
+    the chain is built on the first query that reads it (module docstring).  Base
     points are the points of ``_base_hint`` (kept even where the group
     fixes them), then the smallest point moved by each new strong
     generator; transversals are grown breadth-first in generator order and
@@ -264,10 +258,9 @@ class PermGroup:
             if not gens:
                 raise ValueError("degree required for a trivial generator list")
             degree = max(g.degree for g in gens)
-        gens = [g.extended(degree) if g.degree < degree else g for g in gens]
         for g in gens:
             if g.degree != degree:
-                raise ValueError("generator degree %d exceeds group degree %d" % (g.degree, degree))
+                raise ValueError("generator degree %d is not the group's %d" % (g.degree, degree))
         self.degree = degree
         self.generators = tuple(gens)
         self._ident = tuple(range(degree))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from conftest import DIFFERENCE_SETS_SHA256, difference_sets
 from symdesign import catalog
 from symdesign.catalog import (
     B1,
@@ -35,7 +36,7 @@ from symdesign.design import (
     verify_design,
 )
 from symdesign.diffset import RegularAction, develop_difference_set, \
-    difference_set_representatives, difference_sets, group_automorphisms, \
+    difference_set_representatives, group_automorphisms, \
     multiplier_orbit
 from symdesign.enumeration import table_rows
 from symdesign.iso import are_isomorphic
@@ -77,11 +78,6 @@ DIFFERENCE_SET_COUNTS = {
     "(C4xC2):C2": 192,
     "C4oD8": 320,
 }
-
-# sha256 of the JSON list of [label, difference_sets(action, 6, 2)] over the
-# fourteen groups, recorded before the search started from the base point
-DIFFERENCE_SETS_SHA256 = \
-    "7948727e70d0c23ba763e7cd9b0de2e7dddc38bc2091fc47227d86b231beda59"
 
 # sha256 of the JSON list of [blocks, |Aut|, generator image tuples] of every
 # biplane_classes() entry, recorded before representatives were skipped by
@@ -479,6 +475,14 @@ class TestEntries:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         listing = re.search(r"Catalog names: (.*?)\.\s", readme, re.DOTALL).group(1)
         assert set(re.findall(r"`([^`]+)`", listing)) == set(names())
+
+    def test_entry_replace_round_trip(self):
+        e = entry("fano")
+        renamed = e._replace(name="fano-copy")
+        assert renamed.name == "fano-copy" and e.name == "fano"
+        assert renamed[1:] == e[1:]
+        assert renamed._replace(name="fano") == e
+        assert run_claims(renamed) == run_claims(e)
 
     def test_complete_design_dispatch_and_bounds(self):
         e = entry("complete(6,3)")

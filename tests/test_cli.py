@@ -56,6 +56,14 @@ class TestTopLevel:
         assert names == {"d64_generators.txt", "table2.csv", "table3.csv",
                          "table4.csv", "table5.csv"}
 
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # records are NamedTuples; -S keeps site's own imports out of the count
+        code = ("import sys; sys.path.insert(0, %r); import symdesign.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(SRC))
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
 
@@ -195,11 +203,10 @@ class TestDecompose:
     def test_missing_lambda0_prints_dash(self, capsys, monkeypatch, tmp_path):
         # lambda0 is absent in the k0 = v0 - 1 >= 3 case; no catalog design
         # has it, so the d64 decomposition stands in with lambda0 cleared
-        import dataclasses
         from symdesign import cli
         real = cli.decompose
-        monkeypatch.setattr(cli, "decompose", lambda *args: dataclasses.replace(
-            real(*args), lambda0=None))
+        monkeypatch.setattr(cli, "decompose",
+                            lambda *args: real(*args)._replace(lambda0=None))
         design = str(tmp_path / "d64.json")
         assert main(["construct", "d64-1", "--out", design]) == 0
         gens = str(DATA / "d64_generators.txt")

@@ -10,12 +10,7 @@ import pytest
 from symdesign.catalog import DATA_DIR, entry
 from symdesign.cli import main
 from symdesign.decomp import DecompositionError, decompose
-from symdesign.design import (
-    IncidenceStructure,
-    complement,
-    design_to_json,
-    verify_design,
-)
+from symdesign.design import complement, design_to_json, verify_design
 from symdesign.enumeration import table_rows
 from symdesign.geometry import build_projective_design, restricted_semilinear_group
 from symdesign.perm import PermGroup, minimal_block_systems, parse_generator_file
@@ -76,6 +71,13 @@ class TestMainExample:
     def test_table_row(self, decomposed):
         dec, _ = decomposed
         assert dec.table_row() == "8 4 3 7 14 4 | 8 7 6 7 8 | 8"
+
+    def test_replace_gives_a_new_record(self, decomposed):
+        dec, _ = decomposed
+        cleared = dec._replace(lambda0=None)
+        assert cleared.lambda0 is None and dec.lambda0 == 3
+        assert cleared.table_row() == "8 4 - 7 14 4 | 8 7 6 7 8 | 8"
+        assert cleared._replace(lambda0=3) == dec
 
     def test_trace_structure_carried_by_generators(self, decomposed, d64):
         dec, d = decomposed

@@ -1,6 +1,5 @@
 """The admissible-parameter enumerators against the transcribed tables."""
 
-from fractions import Fraction
 from pathlib import Path
 
 import pytest

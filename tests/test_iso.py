@@ -16,7 +16,7 @@ from symdesign import iso
 from symdesign.catalog import biplane_classes, entry
 from symdesign.design import IncidenceStructure, carries_blocks, complement, develop, \
     induced_block_action
-from symdesign.geometry import build_affine_design, build_projective_design
+from symdesign.geometry import build_affine_design
 from symdesign.iso import are_isomorphic, automorphism_group
 from symdesign.perm import Perm, PermGroup
 

@@ -80,11 +80,6 @@ class TestPermBasics:
         with pytest.raises(ValueError):
             Perm.from_cycles([(0, 5)], 3)
 
-    def test_extended(self):
-        p = cyc((0, 1), degree=2)
-        q = p.extended(5)
-        assert q.degree == 5 and q[0] == 1 and q[4] == 4
-
     def test_apply_to_set(self):
         p = cyc((0, 1, 2), degree=4)
         assert p.apply_to_set({0, 3}) == frozenset({1, 3})
@@ -185,6 +180,15 @@ class TestChainOrders:
                 g.contains(p)
             with pytest.raises(ValueError):
                 p in g
+
+    def test_generator_of_another_degree_rejected(self):
+        with pytest.raises(ValueError, match="generator degree 2 is not the group's 3"):
+            PermGroup([Perm((1, 0))], 3)
+        with pytest.raises(ValueError, match="generator degree 4 is not the group's 3"):
+            PermGroup([cyc((0, 1), degree=4)], 3)
+        # without a degree the largest generator's is the group's
+        with pytest.raises(ValueError, match="generator degree 2 is not the group's 3"):
+            PermGroup([Perm((1, 0)), Perm((1, 2, 0))])
 
     def test_iter_elements_enumerates_exactly(self):
         g = PermGroup(A5)
