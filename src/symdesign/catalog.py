@@ -49,8 +49,8 @@ from .geometry import (
     projective_group_order,
 )
 from .iso import are_isomorphic, automorphism_group
-from .perm import Perm, PermGroup, minimal_block_systems, parse_generator_file, \
-    rank_and_subdegrees
+from .perm import MAX_POINTS, Perm, PermGroup, minimal_block_systems, \
+    parse_generator_file, rank_and_subdegrees
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -191,7 +191,7 @@ def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
                 continue
             seen.update(multiplier_orbit(action, d, automorphisms))
             dev = develop_difference_set(action, d)
-            if all(are_isomorphic(dev, rep, aut) is None for rep, aut in classes):
+            if all(are_isomorphic(dev, rep) is None for rep, _ in classes):
                 ok, report = is_difference_set(action, d, 2)
                 assert ok, (label, d, report)
                 classes.append((dev, automorphism_group(dev)))
@@ -222,8 +222,8 @@ def _complete(v: int, k: int) -> tuple[IncidenceStructure, PermGroup]:
 
 def _complete_misfit(v: int, k: int) -> str | None:
     """Why complete(v, k) is out of range, or None."""
-    if not 2 <= k <= v - 1 or v > 100:
-        return "complete design needs 2 <= k <= v-1 and v <= 100"
+    if not 2 <= k <= v - 1 or v > MAX_POINTS:
+        return "complete design needs 2 <= k <= v-1 and v <= %d" % MAX_POINTS
     if comb(v, k) > COMPLETE_BLOCK_LIMIT:
         return "complete(%d,%d) has more than %d blocks" % (v, k, COMPLETE_BLOCK_LIMIT)
     return None
@@ -331,8 +331,7 @@ def run_claims(e: CatalogEntry) -> list[tuple[str, bool, str]]:
         if want > AUT_ORDER_LIMIT:
             return True, ("claimed order %d above the %d computation limit, "
                           "not recomputed" % (want, AUT_ORDER_LIMIT))
-        known = e.group if e.group.order() > 1 else None
-        got = automorphism_group(e.design, known=known).order()
+        got = automorphism_group(e.design, known=e.group).order()
         return got == want, "|Aut| = %d" % got
 
     checks = [("params", params), ("group_acts", group_acts),

@@ -291,15 +291,10 @@ def find_regular_subgroups(group: PermGroup, limit: int = 1,
     found: list[RegularAction] = []
     nodes = 0
 
-    def action_from(elems: set[Perm], gens: list[Perm]) -> RegularAction:
-        sub = PermGroup(gens, n)
-        assert sub.order() == n
-        return RegularAction(sub, {h[0]: h for h in elems})
-
     def dfs(gens: list[Perm], elems: set[Perm]) -> None:
         nonlocal nodes
         if len(elems) == n:
-            found.append(action_from(elems, gens))
+            found.append(RegularAction.from_group(PermGroup(gens, n)))
             return
         covered = {h[0] for h in elems}
         target = min(x for x in range(n) if x not in covered)

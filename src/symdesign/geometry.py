@@ -20,7 +20,7 @@ from math import prod
 from typing import NamedTuple
 
 from .design import IncidenceStructure, develop
-from .perm import Perm, PermGroup
+from .perm import MAX_POINTS, Perm, PermGroup
 
 
 class GF:
@@ -102,7 +102,7 @@ def build_affine_design(dim: int, q: int, block_dim: int) -> GeometryDesign:
         raise ValueError("need 1 <= block_dim < dim")
     if q == 2 and block_dim != 2:
         raise ValueError("blocks over F_2 must be planes (lines have 2 points)")
-    if q ** dim > 100:
+    if q ** dim > MAX_POINTS:
         raise ValueError("q^dim = %d exceeds the supported size" % q ** dim)
 
     points = list(product(range(q), repeat=dim))
@@ -130,7 +130,7 @@ def build_projective_design(dim: int, q: int, hyperplanes: bool = False) -> Geom
     if dim < 1:
         raise ValueError("need dim >= 1")
     npoints = (q ** (dim + 1) - 1) // (q - 1)
-    if npoints > 100:
+    if npoints > MAX_POINTS:
         raise ValueError("point count %d exceeds the supported size" % npoints)
 
     points = [p for p in product(range(q), repeat=dim + 1)

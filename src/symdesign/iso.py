@@ -318,26 +318,17 @@ def automorphism_group(s: IncidenceStructure,
     return group
 
 
-def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
-                   aut2: PermGroup | None = None) -> Perm | None:
+def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure) -> Perm | None:
     """A point bijection carrying s1's blocks onto s2's, or None.
 
     The identity at once when the two have the same block multiset, None
     at once when non_isomorphism_witness has a witness; otherwise the
     search is exhaustive over the pruned refinement tree, so None is a
-    proof.  The search skips branches equivalent under aut2, the target's
-    automorphism group.  Without aut2 it is automorphism_group(s2), searched
-    on the first such call and kept on s2 for later ones; pass aut2 to use
-    another subgroup, a trivial one for example.  A passed aut2
-    must act on s2's points and each of its generators must carry s2's
-    blocks onto themselves (else ValueError), so it is a subgroup of
-    Aut(s2).  Any such subgroup prunes soundly, since it maps an
-    isomorphism through one branch to one through the other; a smaller
-    group only prunes less.
+    proof.  The search skips branches equivalent under Aut(s2), which maps
+    an isomorphism through one branch to one through the other; it is
+    automorphism_group(s2), searched on the first such call and kept on s2
+    for later ones.
     """
-    if aut2 is not None and (aut2.degree != s2.v or not all(
-            carries_blocks(p.img, s2.blocks, s2.blocks) for p in aut2.generators)):
-        raise ValueError("aut2 is not a group of automorphisms of s2")
     if s1 == s2:
         return Perm.identity(s1.v)
     witness, roots = _compare(s1, s2)
@@ -345,10 +336,8 @@ def are_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
         return None
     g1, root1, g2, root2 = roots
     ref = _ReferencePath(g1, root1[0])
-    if aut2 is None:
-        aut2 = automorphism_group(s2)
 
     def accept(img: list[int]) -> Perm | None:
         return Perm(img) if carries_blocks(img, s1.blocks, s2.blocks) else None
 
-    return _search(ref, g2, 0, root2[0], aut2, accept)
+    return _search(ref, g2, 0, root2[0], automorphism_group(s2), accept)

@@ -227,8 +227,8 @@ class _OrderReached(Exception):
 class PermGroup:
     """A permutation group with a deterministic Schreier–Sims stabilizer chain.
 
-    Every generator must have the group's degree (by default the largest);
-    the chain is built on the first query that reads it (module docstring).  Base
+    Every generator, the identity too, must have the group's degree; the
+    chain is built on the first query that reads it (module docstring).  Base
     points are the points of ``_base_hint`` (kept even where the group
     fixes them), then the smallest point moved by each new strong
     generator; transversals are grown breadth-first in generator order and
@@ -247,22 +247,17 @@ class PermGroup:
     def __init__(
         self,
         generators: Sequence[Perm],
-        degree: int | None = None,
+        degree: int,
         *,
         _base_hint: Sequence[int] = (),
         _order: int | None = None,
         _chain: "PermGroup | None" = None,
     ):
-        gens = [g for g in generators if not g.is_identity()]
-        if degree is None:
-            if not gens:
-                raise ValueError("degree required for a trivial generator list")
-            degree = max(g.degree for g in gens)
-        for g in gens:
+        for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree %d is not the group's %d" % (g.degree, degree))
         self.degree = degree
-        self.generators = tuple(gens)
+        self.generators = tuple(g for g in generators if not g.is_identity())
         self._ident = tuple(range(degree))
         self._pending = (_base_hint, _order, _chain)
 

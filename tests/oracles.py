@@ -242,3 +242,40 @@ def refine_scan(adj: list[int], cells: list[tuple[int, ...]], splitters,
                     continue
             i += 1
     return tuple(trace)
+
+
+def hussain_biplanes() -> tuple[int, list[list[tuple[int, ...]]]]:
+    """Every 2-(16,6,2) design through a fixed Hussain chain, by
+    backtracking; returns (search nodes, completed block lists).
+
+    Any two blocks of a symmetric 2-(16,6,2) design meet in exactly two
+    points.  Block 0 is {0, ..., 5}.  Each pair {0, i} lies in one more
+    block B_i, and the outside points 6..15 are the pairs of {1, ..., 5}
+    (an outside point lies on exactly two of the B_i, which meet only
+    there and at 0), labelled in lexicographic order, so block 0 and the
+    five B_i are forced up to relabelling.  Each other pair {i, j} of
+    block 0 lies in exactly one last block, {i, j} and an outside 4-set;
+    the last ten blocks are chosen in pair order, each meeting every
+    earlier block in two points.  A node is one call of the recursion.
+    """
+    pairs = list(combinations(range(1, 6), 2))
+    label = {p: 6 + n for n, p in enumerate(pairs)}
+    chain = [frozenset(range(6))] + [
+        frozenset({0, i} | {label[p] for p in pairs if i in p}) for i in range(1, 6)]
+    outside = [frozenset(c) for c in combinations(range(6, 16), 4)]
+    nodes, found = 0, []
+
+    def extend(blocks: list[frozenset[int]]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if len(blocks) == 16:
+            found.append(sorted(tuple(sorted(b)) for b in blocks))
+            return
+        pair = frozenset(pairs[len(blocks) - len(chain)])
+        for rest in outside:
+            block = pair | rest
+            if all(len(block & b) == 2 for b in blocks):
+                extend(blocks + [block])
+
+    extend(chain)
+    return nodes, found

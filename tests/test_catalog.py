@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import DIFFERENCE_SETS_SHA256, difference_sets
+from conftest import DIFFERENCE_SETS_SHA256, INVOLUTION_IMG, SEVEN_CYCLE_IMG, \
+    TRIPLING_IMG, difference_sets
 from symdesign import catalog
 from symdesign.catalog import (
     B1,
@@ -39,7 +40,7 @@ from symdesign.diffset import RegularAction, develop_difference_set, \
     difference_set_representatives, group_automorphisms, \
     multiplier_orbit
 from symdesign.enumeration import table_rows
-from symdesign.iso import are_isomorphic
+from symdesign.iso import are_isomorphic, automorphism_group
 from symdesign.perm import (
     Perm,
     PermGroup,
@@ -257,6 +258,28 @@ def multiplier_orbits():
     return out
 
 
+class TestBiplanesFromScratch:
+    """Every 2-(16,6,2) design, found by the independent Hussain-chain
+    search of tests/oracles.py, is isomorphic to one of biplane_classes()."""
+
+    def test_three_classes_match_the_difference_set_developments(self):
+        nodes, found = oracles.hussain_biplanes()
+        assert (nodes, len(found)) == (354, 46)
+        designs = [IncidenceStructure(16, blocks) for blocks in found]
+        for d in designs:
+            assert verify_design(d) == (16, 16, 6, 6, 2)
+        reps: list[IncidenceStructure] = []
+        for d in designs:
+            if all(are_isomorphic(d, rep) is None for rep in reps):
+                reps.append(d)
+        reps.sort(key=lambda rep: -automorphism_group(rep).order())
+        assert [automorphism_group(rep).order() for rep in reps] == [11520, 768, 384]
+        classes = biplane_classes()
+        for i, rep in enumerate(reps):
+            for j, (dev, _) in enumerate(classes):
+                assert (are_isomorphic(rep, dev) is not None) == (i == j)
+
+
 class TestBiplaneSearch:
     def test_difference_set_counts_per_group(self):
         got = {}
@@ -305,18 +328,20 @@ class TestBiplaneSearch:
             BIPLANE_CLASSES_SHA256
 
     def test_each_class_group_is_computed_once(self, monkeypatch):
+        """Each isomorphism test reads the class group kept on its
+        representative: every call returns one of the three class groups."""
         from symdesign import iso
         calls = []
 
         def counted(s, known=None):
-            calls.append(s)
-            return real(s, known)
+            calls.append(real(s, known))
+            return calls[-1]
 
         real = iso.automorphism_group
         monkeypatch.setattr(iso, "automorphism_group", counted)
         monkeypatch.setattr(catalog, "automorphism_group", counted)
         classes = biplane_classes.__wrapped__()
-        assert len(calls) == 3
+        assert {id(g) for g in calls} == {id(aut) for _, aut in classes}
         assert [aut.order() for _, aut in classes] == [11520, 768, 384]
 
     def test_one_development_per_representative(self, monkeypatch):
@@ -594,30 +619,6 @@ class TestLoadDesign:
                                claims={"params": (7, 4, 2)})
         assert run_claims(claimed)[0] == (
             "params", False, "2-(7,3,1) design, b=7, r=3, symmetric=true")
-
-
-# Witnesses for proper flag-transitive subgroups of the full automorphism
-# group of the quadric design.  Found once by randomized search inside the
-# stabilizer of point 0 and frozen here as explicit images; the tests below
-# re-verify every claimed property from scratch.
-SEVEN_CYCLE_IMG = (
-    0, 50, 1, 51, 8, 58, 9, 59, 45, 31, 44, 30, 37, 23, 36, 22,
-    25, 43, 24, 42, 17, 35, 16, 34, 52, 6, 53, 7, 60, 14, 61, 15,
-    56, 10, 57, 11, 48, 2, 49, 3, 21, 39, 20, 38, 29, 47, 28, 46,
-    33, 19, 32, 18, 41, 27, 40, 26, 12, 62, 13, 63, 4, 54, 5, 55,
-)
-INVOLUTION_IMG = (
-    0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15,
-    16, 24, 20, 28, 18, 26, 22, 30, 17, 25, 21, 29, 19, 27, 23, 31,
-    32, 40, 36, 44, 34, 42, 38, 46, 33, 41, 37, 45, 35, 43, 39, 47,
-    48, 56, 52, 60, 50, 58, 54, 62, 49, 57, 53, 61, 51, 59, 55, 63,
-)
-TRIPLING_IMG = (
-    0, 19, 17, 2, 8, 27, 25, 10, 28, 15, 13, 30, 20, 7, 5, 22,
-    16, 3, 1, 18, 24, 11, 9, 26, 12, 31, 29, 14, 4, 23, 21, 6,
-    42, 57, 59, 40, 34, 49, 51, 32, 54, 37, 39, 52, 62, 45, 47, 60,
-    58, 41, 43, 56, 50, 33, 35, 48, 38, 53, 55, 36, 46, 61, 63, 44,
-)
 
 
 @pytest.fixture(scope="module")

@@ -7,13 +7,14 @@ from collections import Counter
 
 import pytest
 
+from conftest import INVOLUTION_IMG, SEVEN_CYCLE_IMG, TRIPLING_IMG
 from symdesign.catalog import DATA_DIR, entry
 from symdesign.cli import main
 from symdesign.decomp import DecompositionError, decompose
 from symdesign.design import complement, design_to_json, verify_design
 from symdesign.enumeration import table_rows
 from symdesign.geometry import build_projective_design, restricted_semilinear_group
-from symdesign.perm import PermGroup, minimal_block_systems, parse_generator_file
+from symdesign.perm import Perm, PermGroup, minimal_block_systems, parse_generator_file
 
 
 def fifteen_point_case():
@@ -289,19 +290,38 @@ class TestOutputsPinned:
 class TestTableFive:
     """Each decomposed catalog design lies on exactly one symmetric family."""
 
-    @pytest.mark.parametrize("name", ["d64-1", "d64-2", "biplane-2",
-                                      "pg3_2_complement", "pg5_2_complement"])
-    def test_decomposition_matches_one_row(self, name):
-        d, text = pinned_case(name)
-        degree, gens = parse_generator_file(text)
-        g = PermGroup(gens, degree)
-        dec = decompose(d, g, minimal_block_systems(g)[0])
+    @staticmethod
+    def assert_one_row(dec):
         family = (dec.v0, dec.k0, dec.lambda0, dec.v1, dec.k1, dec.lambda1)
         rows = [r for r in table_rows()["table5"]
                 if (r.v0, r.k0, r.lambda0, r.v1, r.k1, r.lambda1) == family]
         assert len(rows) == 1
         assert rows[0].mu_s == dec.mu
         assert rows[0].theta_at(rows[0].mu_s) == dec.theta
+
+    @pytest.mark.parametrize("name", ["d64-1", "d64-2", "biplane-2",
+                                      "pg3_2_complement", "pg5_2_complement"])
+    def test_decomposition_matches_one_row(self, name):
+        d, text = pinned_case(name)
+        degree, gens = parse_generator_file(text)
+        g = PermGroup(gens, degree)
+        self.assert_one_row(decompose(d, g, minimal_block_systems(g)[0]))
+
+    @pytest.mark.parametrize("extra,order", [
+        ((SEVEN_CYCLE_IMG, INVOLUTION_IMG), 3584),
+        ((SEVEN_CYCLE_IMG, INVOLUTION_IMG, TRIPLING_IMG), 10752),
+    ])
+    def test_s_minus_3_under_its_flag_transitive_subgroups(self, extra, order):
+        """The quadric design under the translations joined with the frozen
+        witnesses of tests/conftest.py: one minimal system, one row."""
+        e = entry("s-minus-3")
+        g = PermGroup(list(e.group.generators) + [Perm(img) for img in extra], 64)
+        assert g.order() == order
+        systems = minimal_block_systems(g)
+        assert len(systems) == 1
+        dec = decompose(e.design, g, systems[0])
+        assert dec.table_row() == "8 4 3 7 14 4 | 8 7 6 7 8 | 8"
+        self.assert_one_row(dec)
 
 
 class TestCountsReadOnce:

@@ -31,7 +31,7 @@ def cyc(*cycles, degree):
 
 def fano():
     # development of {0,1,3} under x -> x+1 (mod 7)
-    return develop(PermGroup([cyc(tuple(range(7)), degree=7)]), {0, 1, 3})
+    return develop(PermGroup([cyc(tuple(range(7)), degree=7)], 7), {0, 1, 3})
 
 
 def complete_design(v, k):
@@ -168,12 +168,12 @@ class TestDevelop:
             develop(PermGroup([], 4), [1, 4])
 
     def test_s4_pairs(self):
-        s4 = PermGroup([cyc((0, 1), degree=4), cyc((0, 1, 2, 3), degree=4)])
+        s4 = PermGroup([cyc((0, 1), degree=4), cyc((0, 1, 2, 3), degree=4)], 4)
         d = develop(s4, {0, 1})
         assert d.blocks == tuple(itertools.combinations(range(4), 2))
 
     def test_development_admits_group(self):
-        s4 = PermGroup([cyc((0, 1), degree=4), cyc((0, 1, 2, 3), degree=4)])
+        s4 = PermGroup([cyc((0, 1), degree=4), cyc((0, 1, 2, 3), degree=4)], 4)
         d = develop(s4, {0, 1, 2})
         for g in s4.generators:
             assert carries_blocks(g.img, d.blocks, d.blocks)
@@ -216,23 +216,23 @@ class TestFlagTransitivity:
     def test_frobenius_on_fano(self):
         d = fano()
         g = PermGroup([cyc(tuple(range(7)), degree=7),
-                       cyc((1, 2, 4), (3, 6, 5), degree=7)])
+                       cyc((1, 2, 4), (3, 6, 5), degree=7)], 7)
         assert g.order() == 21
         assert is_flag_transitive(d, g)
 
     def test_bare_cycle_is_not(self):
         d = fano()
-        g = PermGroup([cyc(tuple(range(7)), degree=7)])
+        g = PermGroup([cyc(tuple(range(7)), degree=7)], 7)
         assert not is_flag_transitive(d, g)
 
     def test_symmetric_group_on_complete_design(self):
         d = complete_design(5, 2)
-        g = PermGroup([cyc((0, 1), degree=5), cyc(tuple(range(5)), degree=5)])
+        g = PermGroup([cyc((0, 1), degree=5), cyc(tuple(range(5)), degree=5)], 5)
         assert is_flag_transitive(d, g)
 
     def test_non_automorphism_generator_rejected(self):
         d = fano()
-        g = PermGroup([cyc((0, 1), degree=7)])
+        g = PermGroup([cyc((0, 1), degree=7)], 7)
         with pytest.raises(DesignError):
             is_flag_transitive(d, g)
 
@@ -262,28 +262,28 @@ class TestFlagTransitivity:
 class TestPointPrimitivity:
     def test_prime_degree_is_primitive(self):
         d = fano()
-        g = PermGroup([cyc(tuple(range(7)), degree=7)])
+        g = PermGroup([cyc(tuple(range(7)), degree=7)], 7)
         assert is_point_primitive(d, g)
 
     def test_complete_design_with_symmetric_group(self):
         d = complete_design(6, 3)
-        g = PermGroup([cyc((0, 1), degree=6), cyc(tuple(range(6)), degree=6)])
+        g = PermGroup([cyc((0, 1), degree=6), cyc(tuple(range(6)), degree=6)], 6)
         assert is_point_primitive(d, g)
 
     def test_imprimitive_group_detected(self):
         d = complete_design(4, 2)
         wreath = PermGroup([cyc((0, 1), degree=4), cyc((2, 3), degree=4),
-                            cyc((0, 2), (1, 3), degree=4)])
+                            cyc((0, 2), (1, 3), degree=4)], 4)
         assert not is_point_primitive(d, wreath)
 
     def test_intransitive_rejected(self):
         d = complete_design(4, 2)
         with pytest.raises(ValueError, match="transitive"):
-            is_point_primitive(d, PermGroup([cyc((0, 1), degree=4)]))
+            is_point_primitive(d, PermGroup([cyc((0, 1), degree=4)], 4))
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            is_point_primitive(complete_design(5, 2), PermGroup(WREATH))
+            is_point_primitive(complete_design(5, 2), PermGroup(WREATH, 4))
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(2, 8).flatmap(lambda n: st.lists(

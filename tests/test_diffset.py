@@ -1,6 +1,8 @@
 """Difference-set verification, development, and regular-subgroup search."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import difference_sets
 from symdesign import diffset
-from symdesign.catalog import order16_groups
+from symdesign.catalog import entry, order16_groups
+from symdesign.cli import main
 from symdesign.design import DesignError, induced_block_action, verify_design
 from symdesign.diffset import BudgetExhausted, RegularAction, \
     develop_difference_set, difference_set_representatives, \
@@ -274,6 +277,35 @@ class TestFindRegularSubgroups:
         g = PermGroup([Perm((1, 0, 2, 3))], 4)
         with pytest.raises(ValueError):
             find_regular_subgroups(g)
+
+
+# sha256 digests recorded before the found subgroups were built through
+# RegularAction.from_group: [exit code, stdout, stderr] of `diffset regular
+# --limit 4` on the generators `aut` prints for d64-1, and the JSON list of
+# the generator image tuples of find_regular_subgroups(Aut(d64-1), limit=4)
+REGULAR_CLI_SHA256 = \
+    "ad3a590555c97a72c18e8176098cfd2fc6c7e73a8ecb37f0b128cdb9a374131c"
+REGULAR_GENERATORS_SHA256 = \
+    "4ba0a5bcfbdda2bac3f4b989905267136a53a148c024e1894294b91a4370dd0a"
+
+
+class TestRegularPinned:
+    def test_cli_regular_on_the_printed_group(self, capsys, tmp_path):
+        design, gens = tmp_path / "d64-1.json", tmp_path / "aut.gens"
+        assert main(["construct", "d64-1", "--out", str(design)]) == 0
+        assert main(["aut", str(design)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        gens.write_text("\n".join(["degree 64"] + printed[1:]) + "\n")
+        code = main(["diffset", "regular", str(gens), "--limit", "4"])
+        captured = capsys.readouterr()
+        record = json.dumps([code, captured.out, captured.err])
+        assert hashlib.sha256(record.encode()).hexdigest() == REGULAR_CLI_SHA256
+
+    def test_found_generators(self):
+        found = find_regular_subgroups(automorphism_group(entry("d64-1").design), limit=4)
+        images = [[p.img for p in a.group.generators] for a in found]
+        digest = hashlib.sha256(json.dumps(images).encode()).hexdigest()
+        assert digest == REGULAR_GENERATORS_SHA256
 
 
 @st.composite

@@ -146,13 +146,13 @@ class TestChainOrders:
         [(S4, 24), (A5, 60), (C6, 6), (D12, 24), (PSL27, 168), (WREATH, 8)],
     )
     def test_named_groups(self, gens, want):
-        g = PermGroup(gens)
+        g = PermGroup(gens, gens[0].degree)
         assert g.order() == want
         assert closure_order([p.img for p in gens]) == want
 
     def test_symmetric_and_alternating_series(self):
         for n in range(2, 8):
-            sn = PermGroup([cyc((0, 1), degree=n), cyc(tuple(range(n)), degree=n)])
+            sn = PermGroup([cyc((0, 1), degree=n), cyc(tuple(range(n)), degree=n)], n)
             assert sn.order() == closure_order([p.img for p in sn.generators])
 
     @settings(deadline=None, max_examples=60)
@@ -164,7 +164,7 @@ class TestChainOrders:
         assert g.order() == closure_order(imgs)
 
     def test_membership_matches_closure(self):
-        g = PermGroup(PSL27)
+        g = PermGroup(PSL27, 8)
         elements = closure([p.img for p in PSL27])
         assert g.order() == len(elements)
         for img in itertools.islice(elements, 200):
@@ -173,7 +173,7 @@ class TestChainOrders:
         assert cyc((0, 1), degree=8) not in g
 
     def test_membership_of_another_degree_rejected(self):
-        g = PermGroup(S4)
+        g = PermGroup(S4, 4)
         for p in (cyc((0, 1), degree=3), cyc((0, 1), degree=5), Perm.identity(5)):
             with pytest.raises(ValueError, match="degree %d does not match the group's 4"
                                % p.degree):
@@ -186,31 +186,49 @@ class TestChainOrders:
             PermGroup([Perm((1, 0))], 3)
         with pytest.raises(ValueError, match="generator degree 4 is not the group's 3"):
             PermGroup([cyc((0, 1), degree=4)], 3)
-        # without a degree the largest generator's is the group's
         with pytest.raises(ValueError, match="generator degree 2 is not the group's 3"):
-            PermGroup([Perm((1, 0)), Perm((1, 2, 0))])
+            PermGroup([Perm((1, 0)), Perm((1, 2, 0))], 3)
+
+    @pytest.mark.parametrize("gens,bad", [
+        ([Perm.identity(5), Perm((1, 2, 0))], 5),
+        ([Perm((1, 2, 0)), Perm.identity(2)], 2),
+        ([Perm.identity(4)], 4),
+        ([Perm((1, 2, 0)), Perm((1, 0, 3, 2))], 4),
+    ])
+    def test_any_generator_of_another_degree_rejected(self, gens, bad):
+        """Every generator is checked against the given degree, the
+        identity too, before the identities are dropped."""
+        with pytest.raises(ValueError, match="^generator degree %d is not the group's 3$" % bad):
+            PermGroup(gens, 3)
+
+    def test_identity_generators_of_the_degree_are_dropped(self):
+        g = PermGroup([Perm.identity(3), Perm((1, 2, 0)), Perm.identity(3)], 3)
+        assert g.generators == (Perm((1, 2, 0)),)
+        assert PermGroup([Perm.identity(3)], 3).order() == 1
+        with pytest.raises(TypeError):
+            PermGroup([Perm((1, 2, 0))])  # the degree is always given
 
     def test_iter_elements_enumerates_exactly(self):
-        g = PermGroup(A5)
+        g = PermGroup(A5, 5)
         got = {p.img for p in g.iter_elements()}
         assert got == closure([p.img for p in A5])
 
     def test_deterministic_chain(self):
-        a = PermGroup(PSL27)
-        b = PermGroup(PSL27)
+        a = PermGroup(PSL27, 8)
+        b = PermGroup(PSL27, 8)
         assert a.base == b.base
         assert [sorted(t) for t in a._trans] == [sorted(t) for t in b._trans]
 
 
 class TestOrbitsAndStabilizers:
     def test_orbit_sorted(self):
-        assert PermGroup(C6).orbit(2) == [0, 1, 2, 3, 4, 5]
-        assert PermGroup([cyc((0, 1), degree=4)]).orbit(3) == [3]
+        assert PermGroup(C6, 6).orbit(2) == [0, 1, 2, 3, 4, 5]
+        assert PermGroup([cyc((0, 1), degree=4)], 4).orbit(3) == [3]
         with pytest.raises(ValueError):
-            PermGroup(C6).orbit(6)
+            PermGroup(C6, 6).orbit(6)
 
     def test_point_stabilizer_small(self):
-        g = PermGroup(S4)
+        g = PermGroup(S4, 4)
         elements = closure([p.img for p in S4])
         for pt in range(4):
             want = len({p for p in elements if p[pt] == pt})
@@ -227,22 +245,22 @@ class TestOrbitsAndStabilizers:
         assert g.order() == len(g.orbit(point)) * g.point_stabilizer(point).order()
 
     def test_orbits_partition_domain(self):
-        g = PermGroup([cyc((0, 1, 2), (4, 5), degree=7)])
+        g = PermGroup([cyc((0, 1, 2), (4, 5), degree=7)], 7)
         orbs = g.orbits()
         assert sorted(x for o in orbs for x in o) == list(range(7))
         assert [len(o) for o in orbs] == [3, 1, 2, 1]
 
     def test_transitive_regular(self):
-        assert PermGroup(C6).is_regular()
-        assert PermGroup(S4).is_transitive() and not PermGroup(S4).is_regular()
-        assert not PermGroup([cyc((0, 1), degree=3)]).is_transitive()
+        assert PermGroup(C6, 6).is_regular()
+        assert PermGroup(S4, 4).is_transitive() and not PermGroup(S4, 4).is_regular()
+        assert not PermGroup([cyc((0, 1), degree=3)], 3).is_transitive()
 
     def test_rank_subdegrees_s4(self):
-        assert rank_and_subdegrees(PermGroup(S4)) == (2, (1, 3))
+        assert rank_and_subdegrees(PermGroup(S4, 4)) == (2, (1, 3))
 
     def test_rank_subdegrees_match_brute_force(self):
         for gens in (D12, PSL27, WREATH):
-            g = PermGroup(gens)
+            g = PermGroup(gens, gens[0].degree)
             elements = closure([p.img for p in gens])
             stab = {p for p in elements if p[0] == 0}
             sizes = sorted(len(orbit_of_point(stab, x))
@@ -253,15 +271,15 @@ class TestOrbitsAndStabilizers:
 
 class TestBlockSystems:
     def test_c6_two_minimal_systems(self):
-        got = minimal_block_systems(PermGroup(C6))
+        got = minimal_block_systems(PermGroup(C6, 6))
         assert got == [((0, 3), (1, 4), (2, 5)), ((0, 2, 4), (1, 3, 5))]
 
     def test_primitive_group_has_none(self):
-        assert minimal_block_systems(PermGroup(A5)) == []
-        assert minimal_block_systems(PermGroup(PSL27)) == []
+        assert minimal_block_systems(PermGroup(A5, 5)) == []
+        assert minimal_block_systems(PermGroup(PSL27, 8)) == []
 
     def test_wreath_system(self):
-        got = minimal_block_systems(PermGroup(WREATH))
+        got = minimal_block_systems(PermGroup(WREATH, 4))
         assert got == [((0, 1), (2, 3))]
 
     @settings(deadline=None, max_examples=40)
@@ -346,8 +364,8 @@ class TestDerivedChains:
         assert_matches(grown.point_stabilizer(p), {e for e in elements if e[p] == p})
 
     def test_first_orbit_stabilizer_runs_no_schreier_sims(self, monkeypatch):
-        g = PermGroup(PSL27)
-        intransitive = PermGroup([cyc((0, 1, 2), degree=5), cyc((3, 4), degree=5)])
+        g = PermGroup(PSL27, 8)
+        intransitive = PermGroup([cyc((0, 1, 2), degree=5), cyc((3, 4), degree=5)], 5)
         # reading the chains builds them, before the counting starts
         first_orbit = list(g._trans[0])
         assert intransitive.base[0] == 0
@@ -391,14 +409,14 @@ class TestLazyChains:
         real = PermGroup._build_chain
         monkeypatch.setattr(PermGroup, "_build_chain", lambda self, *args:
                             chains.append(self) or real(self, *args))
-        g = PermGroup(PSL27)
+        g = PermGroup(PSL27, 8)
         assert (g.orbits(), g.is_transitive(), len(g.generators)) == ([list(range(8))], True, 2)
         assert chains == []
         assert g.order() == 168
         assert chains == [g]
 
     def test_chain_is_the_one_built_at_construction_before(self):
-        g = PermGroup(PSL27)
+        g = PermGroup(PSL27, 8)
         assert g.point_stabilizer(3).order() == 21  # the first read of the chain
         assert chain_of(g) == (
             (0, 1, 2),
@@ -408,7 +426,7 @@ class TestLazyChains:
             168)
 
     def test_missing_attributes_still_raise(self):
-        g = PermGroup(S4)
+        g = PermGroup(S4, 4)
         with pytest.raises(AttributeError):
             g.no_such_attribute
         assert not hasattr(g, "_no_such_level")
