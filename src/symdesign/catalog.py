@@ -11,14 +11,16 @@ read from the generator strings shipped in data/, the third 64-point
 design develops an elliptic quadric's zero set under translations, and
 the 16-point biplanes fall out of the difference sets in the regular
 representations of all fourteen groups of order 16, each one row of
-presentation parameters under one product rule.  Of the representatives
-that diffset.difference_set_representatives keeps, one per development,
-only the first of each multiplier orbit is developed: a group automorphism
-mapping one onto a translate of another is a point isomorphism of their
-developments, so a later set in an orbit never starts a class, whichever
-subgroup of automorphisms is used.  Only class founders are re-checked as
-difference sets.  Three designs arise, and the two whose full automorphism
-groups are flag-transitive are the ones carried here.
+presentation parameters under one product rule.  Their search,
+diffset.difference_set_representatives, fixes points 0 and 1 first: every
+pair of points lies in two blocks of a development, so its smallest block,
+the representative kept, holds both.  Of the representatives, one per
+development, only the first of each multiplier orbit is developed: a group
+automorphism mapping one onto a translate of another is a point isomorphism
+of their developments, so a later set in an orbit never starts a class,
+whichever subgroup of automorphisms is used.  Only class founders are
+re-checked as difference sets.  Three designs arise, and the two whose
+full automorphism groups are flag-transitive are the ones carried here.
 """
 
 from __future__ import annotations

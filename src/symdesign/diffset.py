@@ -8,6 +8,9 @@ symmetric design with the group as a point-regular automorphism group.
 Point p stands for the element carrying 0 to p, so point 0 is the identity.
 is_difference_set checks one subset and difference_set_representatives finds
 one per development, through point 0, counting quotients in the same table.
+That search fixes point 0 and then point 1: a development of k >= 2 points
+holds each pair of points in lambda >= 1 blocks, so its smallest block starts
+with 0 and 1.
 
 A group automorphism (a multiplier) maps a difference set and its
 development onto another's; multiplier_orbit closes a set's orbit under the
@@ -105,8 +108,14 @@ def difference_set_representatives(action: RegularAction, k: int,
     of its translates through point 0 (row p of d for p in d), which is the
     development's smallest block.  Points are chosen in increasing order,
     point 0 first, and a prefix is dropped once one of its quotients is
-    counted more than lambda times."""
+    counted more than lambda times.  With no count above lambda, the k(k-1)
+    quotients of a full set meet lambda on each of the n-1 non-identity
+    elements exactly when k(k-1) = lambda(n-1), so other k find nothing.
+    Point 1 is second: with k >= 2 that makes lambda >= 1, so some block of
+    the development holds the pair {0, 1}, and so does its smallest block."""
     n = action.degree
+    if k * (k - 1) != lam * (n - 1):
+        return []
     rows = _quotient_rows(action, range(n))
     counts = [0] * n
     chosen: list[int] = []
@@ -115,11 +124,10 @@ def difference_set_representatives(action: RegularAction, k: int,
     def extend(start: int) -> None:
         if len(chosen) == k:
             d = tuple(sorted(chosen))
-            if (all(c == lam for c in counts[1:])
-                    and d == _smallest_translate(rows, d)):
+            if d == _smallest_translate(rows, d):
                 found.append(d)
             return
-        for x in range(start, n - k + len(chosen) + 1 if chosen else 1):
+        for x in range(start, n - k + len(chosen) + 1 if len(chosen) > 1 else len(chosen) + 1):
             row = rows[x]
             added = []
             for s in chosen:

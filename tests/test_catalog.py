@@ -363,6 +363,24 @@ class TestBiplaneSearch:
         biplane_classes.__wrapped__()
         assert calls == {"develop": 27, "check": 3}
 
+    def test_search_reaches_only_sets_through_0_and_1(self, monkeypatch):
+        # each development's smallest block holds points 0 and 1, so the
+        # search checks the 416 difference sets through both, not all 1,248
+        # through point 0, and keeps 208
+        from symdesign import diffset
+        checked = []
+
+        def counting(rows, d):
+            checked.append(tuple(d))
+            return real(rows, d)
+
+        real = diffset._smallest_translate
+        monkeypatch.setattr(diffset, "_smallest_translate", counting)
+        kept = [d for _, group in order16_groups() for d in
+                difference_set_representatives(RegularAction.from_group(group), 6, 2)]
+        assert (len(checked), len(kept)) == (416, 208)
+        assert all(d[:2] == (0, 1) for d in checked)
+
     def test_multiplier_orbits_per_group(self):
         assert {label: len(orbits) for label, _, orbits in multiplier_orbits()} == \
             MULTIPLIER_ORBIT_COUNTS

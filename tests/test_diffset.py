@@ -146,6 +146,32 @@ class TestDifferenceSets:
         lam = k * (k - 1) // (n - 1)
         assert difference_sets(action, k, lam) == brute_force(action, k, lam)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.one_of(small_regular_actions(), st.integers(1, 13).map(cyclic)))
+    def test_representatives_are_the_smallest_blocks(self, data, action):
+        # lam is the admissible value for k if there is one, one above it, or 0
+        n, k = action.degree, data.draw(st.integers(0, action.degree + 2))
+        lam = k * (k - 1) // max(n - 1, 1)
+        assert_smallest_blocks(action, k, data.draw(st.sampled_from([0, lam, lam + 1])))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_representatives_are_the_smallest_blocks_on_degrees_1_to_3(self, n):
+        for k in range(n + 3):
+            for lam in range(13):
+                assert_smallest_blocks(cyclic(n), k, lam)
+
+
+def assert_smallest_blocks(action: RegularAction, k: int, lam: int) -> None:
+    """The representatives are the smallest block of each development of a
+    difference set among all k-subsets; with lam >= 1 each holds point 1."""
+    elements = action.element_of.values()
+    smallest = {min(tuple(sorted(g.apply_to_set(d))) for g in elements)
+                for d in brute_force(action, k, lam)}
+    reps = difference_set_representatives(action, k, lam)
+    assert reps == sorted(smallest), (action.degree, k, lam)
+    if lam and action.degree > 1:
+        assert all(1 in d for d in reps)
+
 
 def brute_force_automorphism_count(action: RegularAction) -> int:
     """Letter-image tuples whose extension along x -> x * letter is a
