@@ -9,25 +9,24 @@ CatalogEntry, a NamedTuple with its own copy of the claims.  The claims
 re-checked from scratch by run_claims.  The two 64-point developments are
 read from the generator strings shipped in data/, the third 64-point
 design develops an elliptic quadric's zero set under translations, and
-the 16-point biplanes fall out of the difference sets in the regular
-representations of all fourteen groups of order 16, each one row of
-presentation parameters under one product rule.  Their search,
-diffset.difference_set_representatives, fixes points 0 and 1 first: every
-pair of points lies in two blocks of a development, so its smallest block,
-the representative kept, holds both.  Of the representatives, one per
-development, only the first of each multiplier orbit is developed: a group
-automorphism mapping one onto a translate of another is a point isomorphism
-of their developments, so a later set in an orbit never starts a class,
-whichever subgroup of automorphisms is used.  Only class founders are
-re-checked as difference sets.  Three designs arise, and the two whose
-full automorphism groups are flag-transitive are the ones carried here.
+the 16-point biplanes come from classifying every 2-(16,6,2) design through
+a Hussain chain (Husain, Sankhya 7 (1945)).  Any two blocks of a symmetric
+2-(16,6,2) design meet in exactly two points.  Block 0 is {0, ..., 5}.
+Each pair {0, i} lies in one more block B_i, and the outside points 6..15
+are the pairs of {1, ..., 5} (an outside point lies on exactly two of the
+B_i, which meet only there and at 0), labelled in lexicographic order, so
+block 0 and the five B_i are forced up to relabelling.  Each other pair
+{i, j} of block 0 lies in exactly one last block, {i, j} and an outside
+4-set; the last ten blocks are chosen in pair order, each meeting every
+earlier block in two points.  Three designs arise, and the two whose full
+automorphism groups are flag-transitive are the ones carried here.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, factorial
 from pathlib import Path
 from typing import NamedTuple
@@ -41,9 +40,7 @@ from .design import (
     is_point_primitive,
     verify_design,
 )
-from .diffset import RegularAction, develop_difference_set, \
-    difference_set_representatives, group_automorphisms, is_difference_set, \
-    multiplier_orbit
+from .diffset import RegularAction, develop_difference_set, is_difference_set
 from .geometry import (
     affine_group_order,
     build_affine_design,
@@ -117,86 +114,74 @@ def _s_minus_3() -> tuple[IncidenceStructure, PermGroup]:
     return develop_difference_set(action, zeros), action.group
 
 
-# Presentations (label, letter orders, r, s, t, u): letter a has order m and
-# b order k, with b a b^-1 = a^r and b^k = a^s; further letters have order 2
-# (1 pads) and are central, except that c a c^-1 = a b^t, c b c^-1 = a^u b.
-_ORDER16 = (
-    ("C16", (16, 1, 1), 1, 0, 0, 0),
-    ("C8xC2", (8, 2, 1), 1, 0, 0, 0),
-    ("C4xC4", (4, 4, 1), 1, 0, 0, 0),
-    ("C4xC2xC2", (4, 2, 2), 1, 0, 0, 0),
-    ("C2^4", (2, 2, 2, 2), 1, 0, 0, 0),
-    ("D16", (8, 2, 1), -1, 0, 0, 0),
-    ("SD16", (8, 2, 1), 3, 0, 0, 0),
-    ("Q16", (8, 2, 1), -1, 4, 0, 0),
-    ("M16", (8, 2, 1), 5, 0, 0, 0),
-    ("D8xC2", (4, 2, 2), -1, 0, 0, 0),
-    ("Q8xC2", (4, 2, 2), -1, 2, 0, 0),
-    ("C4:C4", (4, 4, 1), -1, 0, 0, 0),
-    ("(C4xC2):C2", (4, 2, 2), 1, 0, 1, 0),
-    ("C4oD8", (4, 2, 2), 1, 0, 0, 2),
-)
+# the pairs of the labels 1..5; the outside point 6 + n is pair n
+_PAIRS = list(itertools.combinations(range(1, 6), 2))
 
 
-def order16_specs() -> list[tuple]:
-    """(label, elements, product, generators) for every group of order 16:
-    exponent tuples in itertools.product order, and the letters of order
-    above 1 as generators."""
-    def product(orders, r, s, t, u):
-        m, k = orders[:2]
+def _chain_completions() -> list[tuple[int, ...]]:
+    """The block lists of every 2-(16,6,2) design through the Hussain chain
+    (module docstring), blocks as point bitsets, the chain first.  Each
+    free pair's candidates are filtered against the chain once, and each
+    choice, in pair order, cuts the later pairs' candidates to those
+    meeting it in two points."""
+    chain = [0b111111] + [1 | 1 << i | sum(1 << 6 + n for n, p in enumerate(_PAIRS)
+                                           if i in p) for i in range(1, 6)]
 
-        def ab(x, y):
-            # (a^i b^j)(a^p b^q) = a^(i + p r^j) b^(j + q), then b^k = a^s
-            (i, j), (p, q) = x, y
-            i, j = i + p * r ** j, j + q
-            return ((i + s) % m, j - k) if j >= k else (i % m, j)
+    def meets(a: int, b: int) -> bool:
+        return (a & b).bit_count() == 2
 
-        def mul(x, y):
-            head = y[:2]
-            if x[2]:  # c a^p b^q c^-1 = (a b^t)^p (a^u b)^q
-                head = reduce(ab, [(1, t)] * y[0] + [(u, 1)] * y[1], (0, 0))
-            return ab(x[:2], head) + tuple(
-                (e + f) % n for e, f, n in zip(x[2:], y[2:], orders[2:]))
-        return mul
+    found: list[tuple[int, ...]] = []
 
-    return [(label, list(itertools.product(*map(range, orders))),
-             product(orders, *relations),
-             [tuple(int(i == j) for j in range(len(orders)))
-              for i, n in enumerate(orders) if n > 1])
-            for label, orders, *relations in _ORDER16]
+    def extend(blocks: list[int], candidates: list[list[int]]) -> None:
+        if not candidates:
+            found.append(tuple(blocks))
+            return
+        for b in candidates[0]:
+            extend(blocks + [b], [[c for c in row if meets(b, c)]
+                                  for row in candidates[1:]])
+
+    outside = [sum(1 << x for x in rest)
+               for rest in itertools.combinations(range(6, 16), 4)]
+    extend(chain, [[b for b in (1 << i | 1 << j | rest for rest in outside)
+                    if all(meets(b, c) for c in chain)] for i, j in _PAIRS])
+    return found
 
 
-@lru_cache(maxsize=None)
-def order16_groups() -> tuple[tuple[str, PermGroup], ...]:
-    """Right-multiplication action of each group of order 16 on itself."""
-    groups = []
-    for label, elements, mul, gens in order16_specs():
-        idx = {e: i for i, e in enumerate(elements)}
-        group = PermGroup([Perm(tuple(idx[mul(x, g)] for x in elements))
-                           for g in gens], 16)
-        assert group.order() == 16 and group.is_regular()
-        groups.append((label, group))
-    return tuple(groups)
+def _relabelling(s: tuple[int, ...]) -> list[int]:
+    """The point map of the label map i -> s[i - 1], which fixes the chain."""
+    return [0, *s] + [6 + _PAIRS.index(tuple(sorted((s[i - 1], s[j - 1]))))
+                      for i, j in _PAIRS]
 
 
 @lru_cache(maxsize=None)
 def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
-    """Isomorphism classes of difference-set developable 2-(16,6,2) designs,
-    each with its full automorphism group, largest group first.  A set in
-    an earlier set's multiplier orbit is skipped (module docstring)."""
+    """Isomorphism classes of 2-(16,6,2) designs, each with its full
+    automorphism group, largest group first.  A transposition and a 5-cycle
+    of the labels 1..5 generate S5, which permutes the chain completions;
+    the first completion of each orbit is checked as a design and sorted
+    into the classes by are_isomorphic."""
+    completions = _chain_completions()
+    maps = [_relabelling((2, 1, 3, 4, 5)), _relabelling((2, 3, 4, 5, 1))]
+    known = set(map(frozenset, completions))
+    seen: set[frozenset[int]] = set()
     classes: list[tuple[IncidenceStructure, PermGroup]] = []
-    for label, group in order16_groups():
-        action = RegularAction.from_group(group)
-        automorphisms, seen = group_automorphisms(action), set()
-        for d in difference_set_representatives(action, 6, 2):
-            if d in seen:
-                continue
-            seen.update(multiplier_orbit(action, d, automorphisms))
-            dev = develop_difference_set(action, d)
-            if all(are_isomorphic(dev, rep) is None for rep, _ in classes):
-                ok, report = is_difference_set(action, d, 2)
-                assert ok, (label, d, report)
-                classes.append((dev, automorphism_group(dev)))
+    for blocks in completions:
+        if frozenset(blocks) in seen:
+            continue
+        orbit = [frozenset(blocks)]
+        for image in orbit:
+            for m in maps:
+                moved = frozenset(sum(1 << m[x] for x in range(16) if b >> x & 1)
+                                  for b in image)
+                assert moved in known, "an S5 image of a completion is not one"
+                if moved not in orbit:
+                    orbit.append(moved)
+        seen.update(orbit)
+        design = IncidenceStructure(16, ([x for x in range(16) if b >> x & 1]
+                                         for b in blocks))
+        assert verify_design(design) == (16, 16, 6, 6, 2)
+        if all(are_isomorphic(design, rep) is None for rep, _ in classes):
+            classes.append((design, automorphism_group(design)))
     classes.sort(key=lambda pair: -pair[1].order())
     return tuple(classes)
 

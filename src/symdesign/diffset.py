@@ -5,17 +5,8 @@ elements; a k-subset is a (n, k, lambda) difference set when every
 non-identity element has exactly lambda representations as a quotient of
 two of its elements.  Developing the subset under the action yields a
 symmetric design with the group as a point-regular automorphism group.
-Point p stands for the element carrying 0 to p, so point 0 is the identity.
-is_difference_set checks one subset and difference_set_representatives finds
-one per development, through point 0, counting quotients in the same table.
-That search fixes point 0 and then point 1: a development of k >= 2 points
-holds each pair of points in lambda >= 1 blocks, so its smallest block starts
-with 0 and 1.
-
-A group automorphism (a multiplier) maps a difference set and its
-development onto another's; multiplier_orbit closes a set's orbit under the
-certified generators from group_automorphisms, keeping each image as the
-translate that difference_set_representatives would keep.
+Point p stands for the element carrying 0 to p, so point 0 is the identity;
+is_difference_set counts the quotients of one subset.
 
 find_regular_subgroups recovers such actions inside a given automorphism
 group by depth-first search over the elements mapping point 0 to each
@@ -93,122 +84,6 @@ def is_difference_set(action: RegularAction, d: Iterable[int],
     report = [(action.element_of[x], counts[x]) for x in range(action.degree)
               if x and counts[x] != lam]
     return (not report, report)
-
-
-def _smallest_translate(rows: Sequence[tuple[int, ...]],
-                        d: Sequence[int]) -> tuple[int, ...]:
-    """The smallest translate of d through point 0: row p of d for p in d,
-    with rows from _quotient_rows over every point."""
-    return min((tuple(sorted(rows[p][x] for x in d)) for p in d), default=())
-
-
-def difference_set_representatives(action: RegularAction, k: int,
-                                   lam: int) -> list[tuple[int, ...]]:
-    """One difference set per development, lexicographically: the smallest
-    of its translates through point 0 (row p of d for p in d), which is the
-    development's smallest block.  Points are chosen in increasing order,
-    point 0 first, and a prefix is dropped once one of its quotients is
-    counted more than lambda times.  With no count above lambda, the k(k-1)
-    quotients of a full set meet lambda on each of the n-1 non-identity
-    elements exactly when k(k-1) = lambda(n-1), so other k find nothing.
-    Point 1 is second: with k >= 2 that makes lambda >= 1, so some block of
-    the development holds the pair {0, 1}, and so does its smallest block."""
-    n = action.degree
-    if k * (k - 1) != lam * (n - 1):
-        return []
-    rows = _quotient_rows(action, range(n))
-    counts = [0] * n
-    chosen: list[int] = []
-    found: list[tuple[int, ...]] = []
-
-    def extend(start: int) -> None:
-        if len(chosen) == k:
-            d = tuple(sorted(chosen))
-            if d == _smallest_translate(rows, d):
-                found.append(d)
-            return
-        for x in range(start, n - k + len(chosen) + 1 if len(chosen) > 1 else len(chosen) + 1):
-            row = rows[x]
-            added = []
-            for s in chosen:
-                c = rows[s][x]
-                counts[c] += 1
-                added.append(c)
-                if counts[c] > lam:
-                    break
-                c = row[s]
-                counts[c] += 1
-                added.append(c)
-                if counts[c] > lam:
-                    break
-            else:
-                chosen.append(x)
-                extend(x + 1)
-                chosen.pop()
-            for c in added:
-                counts[c] -= 1
-
-    extend(0)
-    return sorted(found)
-
-
-def group_automorphisms(action: RegularAction) -> list[Perm]:
-    """Generators of Aut(G) as point maps fixing point 0, each
-    certified to preserve the table M[x][y] = element_of[y][x], the point of
-    the product of x and y.  A map is fixed by its images of the letters,
-    the points of G's generators.  Level i, last letter first, adds maps
-    fixing the letters before it that send letter i outside its orbit under
-    the maps found so far, whose group holds every map fixing letter i too
-    (the stabilizer-chain scheme); images are tried among elements of one order."""
-    n = action.degree
-    table = [[action.element_of[y][x] for y in range(n)] for x in range(n)]
-    letters = [g[0] for g in action.group.generators if g[0]]
-    orders = [action.element_of[x].order() for x in range(n)]
-    images_of = [[t for t in range(n) if orders[t] == orders[a]] for a in letters]
-    steps, reached = [], [0]  # each point as an earlier point times a letter
-    for x in reached:
-        for j, a in enumerate(letters):
-            if (y := table[x][a]) not in reached:
-                reached.append(y)
-                steps.append((y, x, j))
-
-    def search(images: list[int]) -> Perm | None:
-        if len(images) < len(letters):
-            return next((sigma for t in images_of[len(images)]
-                         if (sigma := search(images + [t]))), None)
-        img = [0] * n
-        for y, x, j in steps:
-            img[y] = table[img[x]][images[j]]
-        if len(set(img)) == n and all(img[table[x][y]] == table[img[x]][img[y]]
-                                      for x in range(n) for y in range(n)):
-            return Perm(img)
-        return None
-
-    found: list[Perm] = []
-    for i in reversed(range(len(letters))):
-        orbit = {letters[i]}
-        for t in images_of[i]:
-            if t not in orbit and (sigma := search(letters[:i] + [t])):
-                found.append(sigma)
-                while more := {g[x] for g in found for x in orbit} - orbit:
-                    orbit |= more
-    return found
-
-
-def multiplier_orbit(action: RegularAction, d: Sequence[int],
-                     automorphisms: Sequence[Perm]) -> dict[tuple[int, ...], Perm]:
-    """The difference sets that the group generated by `automorphisms` maps
-    d onto, each as its smallest translate through point 0, with one
-    such map; it carries the development of d onto that of the image."""
-    rows = _quotient_rows(action, range(action.degree))
-    queue = [(_smallest_translate(rows, d), Perm.identity(action.degree))]
-    orbit = dict(queue)
-    for e, sigma in queue:
-        for a in automorphisms:
-            if (image := _smallest_translate(rows, [a[x] for x in e])) not in orbit:
-                orbit[image] = sigma * a
-                queue.append((image, orbit[image]))
-    return orbit
 
 
 def develop_difference_set(action: RegularAction, d: Iterable[int]) -> IncidenceStructure:

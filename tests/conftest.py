@@ -1,27 +1,29 @@
 """Fixtures shared by the test modules."""
 
+import itertools
 from typing import NamedTuple
 
 import pytest
 
 from symdesign.catalog import B1, B2, DATA_DIR
 from symdesign.design import IncidenceStructure, develop
-from symdesign.diffset import RegularAction, difference_set_representatives
-from symdesign.perm import PermGroup, parse_generator_file
-
-# sha256 of the JSON list of [label, difference_sets(action, 6, 2)] over the
-# fourteen groups of order 16, recorded before the search started from
-# point 0
-DIFFERENCE_SETS_SHA256 = \
-    "7948727e70d0c23ba763e7cd9b0de2e7dddc38bc2091fc47227d86b231beda59"
+from symdesign.diffset import RegularAction, is_difference_set
+from symdesign.perm import Perm, PermGroup, parse_generator_file
 
 
 def difference_sets(action: RegularAction, k: int, lam: int) -> list[tuple[int, ...]]:
-    """Every k-subset that is a difference set with lambda, lexicographically:
-    every translate of every representative."""
-    return sorted({tuple(sorted(g.apply_to_set(d)))
-                   for d in difference_set_representatives(action, k, lam)
-                   for g in action.element_of.values()})
+    """Every k-subset that is a difference set with lambda, lexicographically,
+    by is_difference_set on each one."""
+    return [d for d in itertools.combinations(range(action.degree), k)
+            if is_difference_set(action, d, lam)[0]]
+
+
+def right_regular(elements: list, mul) -> RegularAction:
+    """A group acting on itself by right multiplication: point i is
+    elements[i], and elements[0] is the identity."""
+    index = {e: i for i, e in enumerate(elements)}
+    gens = [Perm(tuple(index[mul(x, g)] for x in elements)) for g in elements]
+    return RegularAction.from_group(PermGroup(gens, len(elements)))
 
 
 # Witnesses for proper flag-transitive subgroups of the full automorphism

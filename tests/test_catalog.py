@@ -1,16 +1,21 @@
 """Catalog entries: constructions, claim checks, and cross-module identities."""
 
 import hashlib
+import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
 import pytest
 
 import oracles
-from conftest import DIFFERENCE_SETS_SHA256, INVOLUTION_IMG, SEVEN_CYCLE_IMG, \
-    TRIPLING_IMG, difference_sets
+from conftest import INVOLUTION_IMG, SEVEN_CYCLE_IMG, TRIPLING_IMG, \
+    difference_sets, right_regular
 from symdesign import catalog
 from symdesign.catalog import (
     B1,
@@ -20,8 +25,6 @@ from symdesign.catalog import (
     biplane_classes,
     entry,
     names,
-    order16_groups,
-    order16_specs,
     run_claims,
 )
 from symdesign.cli import main
@@ -29,16 +32,13 @@ from symdesign.decomp import DecompositionError, decompose
 from symdesign.design import (
     DesignError,
     IncidenceStructure,
-    carries_blocks,
     design_from_json,
     design_to_json,
     is_flag_transitive,
     is_point_primitive,
     verify_design,
 )
-from symdesign.diffset import RegularAction, develop_difference_set, \
-    difference_set_representatives, group_automorphisms, \
-    multiplier_orbit
+from symdesign.diffset import develop_difference_set, is_difference_set
 from symdesign.enumeration import table_rows
 from symdesign.iso import are_isomorphic, automorphism_group
 from symdesign.perm import (
@@ -51,40 +51,17 @@ from symdesign.perm import (
 GENERATOR_FILE_SHA256 = \
     "72029aac7da24038e2cc228d2103873202cb18c9a6e7b3c926f133358ddb3ac6"
 
-# sha256 digests recorded before the order-16 groups were read from one
-# presentation table: the generator images of the fourteen regular
-# representations, and the two biplane entries' design JSON
-REGULAR_REPS_SHA256 = \
-    "57729afc35e76d630d7442b42e3630cc6674149bf868691ef8ee0560f6699027"
+# sha256 of the two biplane entries' design JSON, recorded when the
+# biplanes were first classified through the Hussain chain
 BIPLANE_JSON_SHA256 = {
-    "biplane-1": "09c5158f10cccbb0a3bb4bafd15907ee8f0fcae15932fca549a1c6906b920098",
-    "biplane-2": "21c2c5322f611415d79c4027548b152e7c175f40ccc20284f573df7a0c64d05a",
-}
-
-# per-group hit counts of the exhaustive 6-subset scan; the two zeros are
-# the classical non-existence cases among the fourteen groups of order 16
-DIFFERENCE_SET_COUNTS = {
-    "C16": 0,
-    "C8xC2": 192,
-    "C4xC4": 192,
-    "C4xC2xC2": 448,
-    "C2^4": 448,
-    "D16": 0,
-    "SD16": 128,
-    "Q16": 256,
-    "M16": 64,
-    "D8xC2": 192,
-    "Q8xC2": 704,
-    "C4:C4": 192,
-    "(C4xC2):C2": 192,
-    "C4oD8": 320,
+    "biplane-1": "e42c887081e41288386da3551bc1d49eb8622da0b3ee2e33a76b8d849aa38cd1",
+    "biplane-2": "08aa601f899eaed24b2c8d24b32bd7f7d87d18d5274803ef069593978db97e4f",
 }
 
 # sha256 of the JSON list of [blocks, |Aut|, generator image tuples] of every
-# biplane_classes() entry, recorded before representatives were skipped by
-# multiplier orbits
+# biplane_classes() entry, recorded at the same time
 BIPLANE_CLASSES_SHA256 = \
-    "f7be168bfd725651a809586c70182e0fca192982d6f51335b44bae26cfddc544"
+    "0bc174d799cc2dd385951e8ecb2830c5c80143598a5a488d66b71151e0a83659"
 
 
 def count_chain_builds(monkeypatch) -> list:
@@ -103,7 +80,9 @@ ALL_NAMES = ([name for name in names() if name != "complete(v,k)"]
 # NAME` and `claims NAME --format json`, recorded before every catalog row
 # took the one (builder, args, claims) shape: every listed name, complete
 # designs on each side of the |Aut| computation limit (16! is above it),
-# and the two refusal texts
+# and the two refusal texts.  The biplane rows were re-recorded when the
+# biplanes were first classified through the Hussain chain: construct for
+# both, and claims for biplane-2, whose Aut has 7 generators instead of 6
 CLI_SHA256 = {
     "d64-1": (
         "e86e5d5ec8dc6dea79779cee7ad1c78b0fbd1c1e5c47c0f7882da04359d4db7e",
@@ -118,13 +97,13 @@ CLI_SHA256 = {
         "84655703481339000a75236ea362dd6b0e1170ad670502e811399c4d5f1eb377",
         "8c8d9f9844bc3793b68d554dbb605e91627d57b8cfdf3eb576db859844622e05"),
     "biplane-1": (
-        "6fa3db52dc252cf31d4b3ff0fe1cffe849c6314f7c01473dcf3d1a4efb5b652b",
+        "cf4e0199e77e8201b2c4fabb4a8c8030e4d6ee44fc0437a4b0cad4cd17ecb373",
         "2c55492e89201c21cf15f05e74548646adcdd2ebfdd72a70c7787314425c2bb6",
         "46d06c08bb04a3e7f916f73a87219dc81cd9e6a6d8f9ac12fa5208a910ae0ae0"),
     "biplane-2": (
-        "65c5ccd24df4bc03466bf09431961ac13ca621f1da88f371325eb4ffbb18b745",
-        "4a577702cca8c3fec496b9b47df75c9103d9b4fbe47534e6998c14c07013d1d2",
-        "eea3641f0b3dc70092250048be47852c03c150d2fae6dc7da4aa4473dd9cbaf1"),
+        "50968d9b450427488a204ebc03a36abef334c1bdbc98205cc5e1562d08f3d8e7",
+        "fedb22be7505e5414598079c50a953f895f782494d8ba6c5a8b85a61fb16b649",
+        "f6f571993066ee5d19549b46f0db800dde4cdf075dd4b2a43ff3d6a9a99e99c3"),
     "ag2_3": (
         "0e41a008afc036d52623af5e2a73fa882e9d987476efbcbfd88361734c4c54d6",
         "894192a2cc089fa00e64483695ada3fb466f69d06c6ca048faad2a6725b86486",
@@ -200,62 +179,32 @@ CLI_SHA256 = {
 }
 
 
-class TestOrder16Groups:
-    def test_axioms_hold_for_every_spec(self):
-        for label, elements, mul, gens in order16_specs():
-            assert len(elements) == len(set(elements)) == 16, label
-            idents = [e for e in elements
-                      if all(mul(e, x) == x and mul(x, e) == x for x in elements)]
-            assert len(idents) == 1, label
-            for x in elements:
-                assert any(mul(x, y) == idents[0] for y in elements), label
-            for x in elements:
-                for y in elements:
-                    assert mul(x, y) in set(elements), label
-                    for z in elements:
-                        assert mul(mul(x, y), z) == mul(x, mul(y, z)), label
-            assert all(g in set(elements) for g in gens), label
-
-    def test_fourteen_pairwise_distinct_groups(self):
-        seen = {}
-        for label, group in order16_groups():
-            assert group.order() == 16 and group.is_regular()
-            els = list(group.iter_elements())
-            inv = (tuple(sorted(p.order() for p in els)),
-                   sum(1 for p in els for q in els if p * q == q * p),
-                   sum(1 for p in els if all(p * q == q * p for q in els)),
-                   len({p * p for p in els}))
-            assert inv not in seen, (label, seen.get(inv))
-            seen[inv] = label
-        assert len(seen) == 14
-
-    def test_regular_representations_are_pinned(self):
-        images = json.dumps([[label, [list(g.img) for g in group.generators]]
-                             for label, group in order16_groups()])
-        assert hashlib.sha256(images.encode()).hexdigest() == REGULAR_REPS_SHA256
+# One difference set in each of C2^4, C8 x C2 and Q8 x C2, as (elements,
+# product, set): their developments are the three biplanes, with GF(2)
+# ranks 6, 7 and 8.
+def _c8c2(x, y):
+    return ((x[0] + y[0]) % 8, (x[1] + y[1]) % 2)
 
 
-# per group, the number of orbits of its difference_set_representatives
-# under its automorphisms (27 of the 208 representatives start one)
-MULTIPLIER_ORBIT_COUNTS = {
-    "C16": 0, "C8xC2": 2, "C4xC4": 3, "C4xC2xC2": 2, "C2^4": 1, "D16": 0,
-    "SD16": 2, "Q16": 2, "M16": 2, "D8xC2": 2, "Q8xC2": 2, "C4:C4": 3,
-    "(C4xC2):C2": 4, "C4oD8": 2,
-}
+def _q8c2(x, y):
+    # r^4 = 1, s^2 = r^2, s^-1 r s = r^-1, times a central C2
+    return ((x[0] + (y[0] if x[1] == 0 else -y[0]) + 2 * (x[1] * y[1])) % 4,
+            (x[1] + y[1]) % 2, (x[2] + y[2]) % 2)
 
 
-def multiplier_orbits():
-    """(label, action, [(first representative, its orbit)]) per group, in
-    the order biplane_classes walks them."""
-    out = []
-    for label, group in order16_groups():
-        action = RegularAction.from_group(group)
-        automorphisms, orbits = group_automorphisms(action), []
-        for d in difference_set_representatives(action, 6, 2):
-            if all(d not in orbit for _, orbit in orbits):
-                orbits.append((d, multiplier_orbit(action, d, automorphisms)))
-        out.append((label, action, orbits))
-    return out
+KNOWN_DIFFERENCE_SETS = [
+    (list(itertools.product(range(2), repeat=4)),
+     lambda x, y: tuple(a ^ b for a, b in zip(x, y)),
+     [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)]),
+    (list(itertools.product(range(8), range(2))), _c8c2,
+     [(0, 0), (0, 1), (1, 0), (2, 0), (5, 1), (6, 0)]),
+    (list(itertools.product(range(4), range(2), range(2))), _q8c2,
+     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 0, 1)]),
+]
+
+
+def as_sets(blocks) -> frozenset:
+    return frozenset(frozenset(b) for b in blocks)
 
 
 class TestBiplanesFromScratch:
@@ -279,34 +228,45 @@ class TestBiplanesFromScratch:
             for j, (dev, _) in enumerate(classes):
                 assert (are_isomorphic(rep, dev) is not None) == (i == j)
 
+    def test_completions_match_the_oracle(self):
+        _, found = oracles.hussain_biplanes()
+        got = {as_sets([x for x in range(16) if b >> x & 1] for b in blocks)
+               for blocks in catalog._chain_completions()}
+        assert len(got) == 46
+        assert got == {as_sets(blocks) for blocks in found}
+
+    def test_known_difference_sets_develop_onto_one_class_each(self):
+        classes = biplane_classes()
+        hits, ranks = [], []
+        for elements, mul, d in KNOWN_DIFFERENCE_SETS:
+            action = right_regular(elements, mul)
+            points = [elements.index(x) for x in d]
+            assert is_difference_set(action, points, 2) == (True, [])
+            dev = develop_difference_set(action, points)
+            maps = [(j, m) for j, (rep, _) in enumerate(classes)
+                    if (m := are_isomorphic(dev, rep)) is not None]
+            assert len(maps) == 1
+            j, m = maps[0]
+            target = list(classes[j][0].blocks)
+            assert oracles._maps_blocks(m.img, list(dev.blocks), set(target),
+                                        Counter(target))
+            hits.append(j)
+            ranks.append(oracles.gf2_rank(16, list(dev.blocks)))
+        assert sorted(hits) == [0, 1, 2]
+        assert sorted(ranks) == [6, 7, 8]
+
 
 class TestBiplaneSearch:
-    def test_difference_set_counts_per_group(self):
-        got = {}
-        for label, group in order16_groups():
-            action = RegularAction.from_group(group)
-            got[label] = len(difference_sets(action, 6, 2))
-        assert got == DIFFERENCE_SET_COUNTS
-
-    def test_difference_sets_are_pinned(self):
-        got = [[label, difference_sets(RegularAction.from_group(group), 6, 2)]
-               for label, group in order16_groups()]
-        assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == \
-            DIFFERENCE_SETS_SHA256
-
     def test_elementary_abelian_counts_match_translate_oracle(self):
         # independent route: |D meet (D + c)| = 2 for every nonzero c,
         # computed by direct xor translation of the point set
-        import itertools
         oracle = []
         for d in itertools.combinations(range(16), 6):
             ds = set(d)
             if all(len(ds & {p ^ c for p in ds}) == 2 for c in range(1, 16)):
                 oracle.append(d)
         assert len(oracle) == 448
-        label, group = next(
-            (l, g) for l, g in order16_groups() if l == "C2^4")
-        action = RegularAction.from_group(group)
+        action = right_regular(list(range(16)), int.__xor__)
         assert difference_sets(action, 6, 2) == oracle
 
     def test_three_isomorphism_classes(self):
@@ -344,11 +304,11 @@ class TestBiplaneSearch:
         assert {id(g) for g in calls} == {id(aut) for _, aut in classes}
         assert [aut.order() for _, aut in classes] == [11520, 768, 384]
 
-    def test_one_development_per_representative(self, monkeypatch):
-        # only the first representative of each multiplier orbit is
-        # developed, and only the 3 class founders are re-checked as
-        # difference sets
-        calls = {"develop": 0, "check": 0}
+    def test_search_counts_are_pinned(self, monkeypatch):
+        """46 completions, one design checked per S5 orbit, then the
+        isomorphism tests and one automorphism search per class."""
+        calls = {"completions": 0, "orbits": 0, "are_isomorphic": 0,
+                 "automorphism_group": 0}
 
         def counting(key, real):
             def wrapped(*args):
@@ -356,56 +316,20 @@ class TestBiplaneSearch:
                 return real(*args)
             return wrapped
 
-        monkeypatch.setattr(catalog, "develop_difference_set",
-                            counting("develop", catalog.develop_difference_set))
-        monkeypatch.setattr(catalog, "is_difference_set",
-                            counting("check", catalog.is_difference_set))
+        def completions():
+            found = real_completions()
+            calls["completions"] += len(found)
+            return found
+
+        real_completions = catalog._chain_completions
+        monkeypatch.setattr(catalog, "_chain_completions", completions)
+        for key, name in (("orbits", "verify_design"),
+                          ("are_isomorphic", "are_isomorphic"),
+                          ("automorphism_group", "automorphism_group")):
+            monkeypatch.setattr(catalog, name, counting(key, getattr(catalog, name)))
         biplane_classes.__wrapped__()
-        assert calls == {"develop": 27, "check": 3}
-
-    def test_search_reaches_only_sets_through_0_and_1(self, monkeypatch):
-        # each development's smallest block holds points 0 and 1, so the
-        # search checks the 416 difference sets through both, not all 1,248
-        # through point 0, and keeps 208
-        from symdesign import diffset
-        checked = []
-
-        def counting(rows, d):
-            checked.append(tuple(d))
-            return real(rows, d)
-
-        real = diffset._smallest_translate
-        monkeypatch.setattr(diffset, "_smallest_translate", counting)
-        kept = [d for _, group in order16_groups() for d in
-                difference_set_representatives(RegularAction.from_group(group), 6, 2)]
-        assert (len(checked), len(kept)) == (416, 208)
-        assert all(d[:2] == (0, 1) for d in checked)
-
-    def test_multiplier_orbits_per_group(self):
-        assert {label: len(orbits) for label, _, orbits in multiplier_orbits()} == \
-            MULTIPLIER_ORBIT_COUNTS
-
-    def test_skipped_representatives_map_onto_their_orbit_first(self):
-        skipped = 0
-        for label, action, orbits in multiplier_orbits():
-            for first, orbit in orbits:
-                onto = develop_difference_set(action, first).blocks
-                for d, sigma in orbit.items():
-                    blocks = develop_difference_set(action, d).blocks
-                    assert carries_blocks(sigma.inv().img, blocks, onto), (label, d)
-                    skipped += d != first
-        assert skipped == 208 - 27
-
-    def test_smallest_blocks_through_base_match_distinct_developments(self):
-        for label, group in order16_groups():
-            action = RegularAction.from_group(group)
-            distinct = {frozenset(develop_difference_set(action, d).blocks)
-                        for d in difference_sets(action, 6, 2)}
-            reps = {d: frozenset(develop_difference_set(action, d).blocks)
-                    for d in difference_set_representatives(action, 6, 2)}
-            assert all(d == min(blocks) for d, blocks in reps.items()), label
-            assert len(reps) == len(distinct), label
-            assert set(reps.values()) == distinct, label
+        assert calls == {"completions": 46, "orbits": 4, "are_isomorphic": 6,
+                         "automorphism_group": 3}
 
     def test_exactly_two_classes_are_flag_transitive(self):
         from symdesign.design import is_flag_transitive
@@ -420,6 +344,15 @@ class TestBiplaneSearch:
     def test_biplane_designs_are_pinned(self, name):
         text = design_to_json(entry(name).design)
         assert hashlib.sha256(text.encode()).hexdigest() == BIPLANE_JSON_SHA256[name]
+
+    def test_construct_is_the_same_in_fresh_processes(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for name in ("biplane-1", "biplane-2"):
+            outs = [subprocess.run([sys.executable, "-m", "symdesign", "construct", name],
+                                   env=env, capture_output=True, text=True,
+                                   check=True).stdout for _ in range(2)]
+            assert outs[0] == outs[1] and outs[0]
 
 
 class TestEntries:

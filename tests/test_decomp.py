@@ -254,10 +254,11 @@ DECOMPOSE_SHA256 = {
 }
 
 # sha256 of the JSON of minimal_block_systems of each pinned case's group,
-# recorded at the same time
+# recorded at the same time; biplane-2's was re-recorded when the biplanes
+# were first classified through the Hussain chain, which relabels them
 BLOCK_SYSTEMS_SHA256 = {
     "d64-1": "4bb92989e37cd3338505c1e6ac0edb59b747f068afcc17a6b76bd3a68b7d4ac7",
-    "biplane-2": "3b9dd061903ef71551304ddeeb1e36fcbdf78757d4f355d54c43b952a2e0c498",
+    "biplane-2": "92e690ad0a45ceafa451400583b751ee659bcbc01c237feb3094c1451c24d400",
     "pg3_2_complement": "b215fb31494df80848f433113f91eefadb776f28fc2e2bf6afbd73f73476b7f3",
     "pg5_2_complement": "5e86b7bed9773c6542020fe901094bb5fa00bfa3cf4fa8620c0f81b14bf9c35e",
     "s-minus-3": "24c27910cc272050ef592aaf5557ecba1964575d4bf61a23a4db53b79741c939",

@@ -4,19 +4,19 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import difference_sets
+from conftest import difference_sets, right_regular
 from symdesign import diffset
-from symdesign.catalog import entry, order16_groups
+from symdesign.catalog import entry
 from symdesign.cli import main
 from symdesign.design import DesignError, induced_block_action, verify_design
 from symdesign.diffset import BudgetExhausted, RegularAction, \
-    develop_difference_set, difference_set_representatives, \
-    find_regular_subgroups, group_automorphisms, is_difference_set
+    develop_difference_set, find_regular_subgroups, is_difference_set
 from symdesign.iso import automorphism_group
 from symdesign.perm import Perm, PermGroup
 
@@ -91,14 +91,19 @@ def cyclic(n: int) -> RegularAction:
         PermGroup([Perm(tuple((x + 1) % n for x in range(n)))], n))
 
 
-def brute_force(action: RegularAction, k: int, lam: int) -> list[tuple[int, ...]]:
-    return [d for d in itertools.combinations(range(action.degree), k)
-            if is_difference_set(action, d, lam)[0]]
+def cyclic_brute_force(n: int, k: int, lam: int) -> list[tuple[int, ...]]:
+    """The k-subsets of Z_n whose differences p - q mod n hit every nonzero
+    residue lam times."""
+    def balanced(d):
+        counts = Counter((p - q) % n for p in d for q in d if p != q)
+        return all(counts[c] == lam for c in range(1, n))
+    return [d for d in itertools.combinations(range(n), k) if balanced(d)]
 
 
 @st.composite
-def small_regular_actions(draw) -> RegularAction:
-    """Right regular representations of Z_a x Z_b or D_2m, of order <= 13."""
+def small_groups(draw) -> tuple[list, object]:
+    """(elements, product) of Z_a x Z_b or D_2m, of order <= 13, identity
+    first."""
     if draw(st.booleans()):
         a = draw(st.integers(2, 13))
         moduli = (a, draw(st.integers(1, 13 // a)))
@@ -113,9 +118,7 @@ def small_regular_actions(draw) -> RegularAction:
         def mul(x, y):
             # r^m = s^2 = 1, s r s = r^-1
             return ((x[0] + (y[0] if x[1] == 0 else -y[0])) % m, (x[1] + y[1]) % 2)
-    idx = {e: i for i, e in enumerate(elements)}
-    gens = [Perm(tuple(idx[mul(x, g)] for x in elements)) for g in ((1, 0), (0, 1))]
-    return RegularAction.from_group(PermGroup(gens, len(elements)))
+    return elements, mul
 
 
 class TestDifferenceSets:
@@ -124,108 +127,30 @@ class TestDifferenceSets:
         (16, 6, 2, 0), (7, 0, 0, 1), (7, 0, 1, 0), (7, 1, 0, 7), (7, 1, 1, 0),
         (7, 7, 7, 1), (7, 7, 6, 0)])
     def test_cyclic_counts_match_brute_force(self, n, k, lam, count):
-        action = cyclic(n)
-        found = difference_sets(action, k, lam)
+        found = difference_sets(cyclic(n), k, lam)
         assert len(found) == count
-        assert found == brute_force(action, k, lam)
-
-    def test_one_representative_per_development(self):
-        action = cyclic(13)
-        reps = difference_set_representatives(action, 4, 1)
-        blocks = [frozenset(develop_difference_set(action, d).blocks) for d in reps]
-        assert reps == sorted(reps) and all(d == min(b) for d, b in zip(reps, blocks))
-        assert set().union(*blocks) == set(difference_sets(action, 4, 1))
-        assert len(set(blocks)) == len(reps) == 52 // 13
+        assert found == cyclic_brute_force(n, k, lam)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.data(), small_regular_actions())
-    def test_matches_brute_force_on_small_groups(self, data, action):
-        n = action.degree
+    @given(st.data(), small_groups())
+    def test_matches_brute_force_on_small_groups(self, data, group):
+        """The difference sets are the subsets whose quotients x y^-1,
+        taken in the group's own product, hit each non-identity element
+        lambda times."""
+        elements, mul = group
+        n = len(elements)
         k = data.draw(st.sampled_from(
             [k for k in range(n + 1) if k * (k - 1) % (n - 1) == 0]))
         lam = k * (k - 1) // (n - 1)
-        assert difference_sets(action, k, lam) == brute_force(action, k, lam)
+        inverse = {x: next(y for y in elements if mul(x, y) == elements[0])
+                   for x in elements}
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.one_of(small_regular_actions(), st.integers(1, 13).map(cyclic)))
-    def test_representatives_are_the_smallest_blocks(self, data, action):
-        # lam is the admissible value for k if there is one, one above it, or 0
-        n, k = action.degree, data.draw(st.integers(0, action.degree + 2))
-        lam = k * (k - 1) // max(n - 1, 1)
-        assert_smallest_blocks(action, k, data.draw(st.sampled_from([0, lam, lam + 1])))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_representatives_are_the_smallest_blocks_on_degrees_1_to_3(self, n):
-        for k in range(n + 3):
-            for lam in range(13):
-                assert_smallest_blocks(cyclic(n), k, lam)
-
-
-def assert_smallest_blocks(action: RegularAction, k: int, lam: int) -> None:
-    """The representatives are the smallest block of each development of a
-    difference set among all k-subsets; with lam >= 1 each holds point 1."""
-    elements = action.element_of.values()
-    smallest = {min(tuple(sorted(g.apply_to_set(d))) for g in elements)
-                for d in brute_force(action, k, lam)}
-    reps = difference_set_representatives(action, k, lam)
-    assert reps == sorted(smallest), (action.degree, k, lam)
-    if lam and action.degree > 1:
-        assert all(1 in d for d in reps)
-
-
-def brute_force_automorphism_count(action: RegularAction) -> int:
-    """Letter-image tuples whose extension along x -> x * letter is a
-    well-defined bijection: the automorphisms of the regular group."""
-    n, element_of = action.degree, action.element_of
-    letters = [g[0] for g in action.group.generators if g[0]]
-    count = 0
-    for images in itertools.product(range(n), repeat=len(letters)):
-        img, frontier, ok = {0: 0}, [0], True
-        while frontier and ok:
-            x = frontier.pop()
-            for a, t in zip(letters, images):
-                y, z = element_of[a][x], element_of[t][img[x]]
-                if y not in img:
-                    img[y] = z
-                    frontier.append(y)
-                elif img[y] != z:
-                    ok = False
-        count += ok and len(set(img.values())) == n
-    return count
-
-
-# |Aut(G)| in order16_groups() order
-AUT_ORDERS = [8, 16, 96, 192, 20160, 32, 16, 32, 16, 64, 192, 32, 32, 48]
-
-
-class TestGroupAutomorphisms:
-    def test_orders_of_the_groups_of_order_16(self):
-        got = [PermGroup(group_automorphisms(RegularAction.from_group(group)), 16).order()
-               for _, group in order16_groups()]
-        assert got == AUT_ORDERS
-
-    @pytest.mark.parametrize("label, base", [
-        (label, 0) for label, _ in order16_groups()])
-    def test_generators_fix_base_and_preserve_products(self, label, base):
-        action = RegularAction.from_group(dict(order16_groups())[label])
-        mul = [[action.element_of[y][x] for y in range(16)] for x in range(16)]
-        for sigma in group_automorphisms(action):
-            assert sigma[base] == base
-            assert all(sigma[mul[x][y]] == mul[sigma[x]][sigma[y]]
-                       for x in range(16) for y in range(16))
-
-    @pytest.mark.parametrize("label", [
-        label for label, _ in order16_groups() if label != "C2^4"])
-    def test_order_matches_brute_force(self, label):
-        action = RegularAction.from_group(dict(order16_groups())[label])
-        assert PermGroup(group_automorphisms(action), 16).order() == \
-            brute_force_automorphism_count(action)
-
-    @settings(max_examples=30, deadline=None)
-    @given(small_regular_actions())
-    def test_order_matches_brute_force_on_small_groups(self, action):
-        assert PermGroup(group_automorphisms(action), action.degree).order() == \
-            brute_force_automorphism_count(action)
+        def balanced(d):
+            counts = Counter(mul(elements[p], inverse[elements[q]])
+                             for p in d for q in d if p != q)
+            return all(counts[e] == lam for e in elements[1:])
+        want = [d for d in itertools.combinations(range(n), k) if balanced(d)]
+        assert difference_sets(right_regular(elements, mul), k, lam) == want
 
 
 class TestDevelopment:
