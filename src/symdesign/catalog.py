@@ -7,7 +7,8 @@ with, and entry() turns a row, or a complete(v,k) name, into a
 CatalogEntry, a NamedTuple with its own copy of the claims.  The claims
 (parameters, automorphism group order, transitivity properties) are
 re-checked from scratch by run_claims.  The two 64-point developments are
-read from the generator strings shipped in data/, the third 64-point
+read from the generator strings shipped in data/ (the second's base block
+is the rest of the 56 points outside point 0's class).  The third 64-point
 design develops an elliptic quadric's zero set under translations, and
 the 16-point biplanes come from classifying every 2-(16,6,2) design through
 a Hussain chain (Husain, Sankhya 7 (1945)).  Any two blocks of a symmetric
@@ -18,7 +19,10 @@ B_i, which meet only there and at 0), labelled in lexicographic order, so
 block 0 and the five B_i are forced up to relabelling.  Each other pair
 {i, j} of block 0 lies in exactly one last block, {i, j} and an outside
 4-set; the last ten blocks are chosen in pair order, each meeting every
-earlier block in two points.  Three designs arise, and the two whose full
+earlier block in two points.  A completion is the labelling of one frame
+(a block, a point of it, an order of its other five points), so a design
+with automorphism group A is completed 16 * 6 * 5! / |A| times; 46
+completions in three classes arise, and the two designs whose full
 automorphism groups are flag-transitive are the ones carried here.
 """
 
@@ -47,17 +51,15 @@ from .geometry import (
     build_projective_design,
     projective_group_order,
 )
-from .iso import are_isomorphic, automorphism_group
+from .iso import automorphism_group, gf2_rank
 from .perm import MAX_POINTS, Perm, PermGroup, minimal_block_systems, \
     parse_generator_file, rank_and_subdegrees
 
 DATA_DIR = Path(__file__).parent / "data"
 
-# base blocks of the two developments, 1-based as printed
+# base block of the first development, 1-based as printed
 B1 = (9, 11, 13, 15, 17, 20, 22, 23, 25, 26, 31, 32, 33, 35, 38, 40,
       41, 42, 43, 44, 49, 50, 53, 54, 57, 58, 61, 62)
-B2 = (10, 12, 14, 16, 18, 19, 21, 24, 27, 28, 29, 30, 34, 36, 37, 39,
-      45, 46, 47, 48, 51, 52, 55, 56, 59, 60, 63, 64)
 
 AUT_ORDER_LIMIT = 10 ** 11
 # complete(20,10), 184,756 blocks, builds in about 1 s and 125 MiB on a 2-vCPU
@@ -80,9 +82,12 @@ def _embedded_group() -> tuple[int, tuple[Perm, ...]]:
 
 
 def _d64(h: int) -> tuple[IncidenceStructure, PermGroup]:
-    """Development of base block B1 or B2 under the order-43008 group."""
+    """Development of B1, or of the rest of the 56 points outside point 0's
+    class, under the order-43008 group."""
     degree, gens = _embedded_group()
-    base = [p - 1 for p in (B1, B2)[h - 1]]
+    base = [p - 1 for p in B1]
+    if h == 2:
+        base = sorted(set(range(8, 64)) - set(base))
     group = PermGroup(gens, degree)
     return develop(group, base), group
 
@@ -147,41 +152,28 @@ def _chain_completions() -> list[tuple[int, ...]]:
     return found
 
 
-def _relabelling(s: tuple[int, ...]) -> list[int]:
-    """The point map of the label map i -> s[i - 1], which fixes the chain."""
-    return [0, *s] + [6 + _PAIRS.index(tuple(sorted((s[i - 1], s[j - 1]))))
-                      for i, j in _PAIRS]
-
-
 @lru_cache(maxsize=None)
 def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
     """Isomorphism classes of 2-(16,6,2) designs, each with its full
-    automorphism group, largest group first.  A transposition and a 5-cycle
-    of the labels 1..5 generate S5, which permutes the chain completions;
-    the first completion of each orbit is checked as a design and sorted
-    into the classes by are_isomorphic."""
-    completions = _chain_completions()
-    maps = [_relabelling((2, 1, 3, 4, 5)), _relabelling((2, 3, 4, 5, 1))]
-    known = set(map(frozenset, completions))
-    seen: set[frozenset[int]] = set()
-    classes: list[tuple[IncidenceStructure, PermGroup]] = []
-    for blocks in completions:
-        if frozenset(blocks) in seen:
-            continue
-        orbit = [frozenset(blocks)]
-        for image in orbit:
-            for m in maps:
-                moved = frozenset(sum(1 << m[x] for x in range(16) if b >> x & 1)
-                                  for b in image)
-                assert moved in known, "an S5 image of a completion is not one"
-                if moved not in orbit:
-                    orbit.append(moved)
-        seen.update(orbit)
+    automorphism group, largest group first.  A frame of a design D is a
+    block, a point of it and an order of its other five points: D has
+    16 * 6 * 5! = 11,520 frames, Aut(D) permutes them regularly and each
+    completion labels exactly one frame, so exactly 11,520 / |Aut(D)|
+    completions are isomorphic to D.  Isomorphic completions share their
+    2-rank, so a rank group of exactly that size is D's class; the first
+    completion of each group is checked as a design and carries the class."""
+    by_rank: dict[int, list[IncidenceStructure]] = {}
+    for blocks in _chain_completions():
         design = IncidenceStructure(16, ([x for x in range(16) if b >> x & 1]
                                          for b in blocks))
-        assert verify_design(design) == (16, 16, 6, 6, 2)
-        if all(are_isomorphic(design, rep) is None for rep, _ in classes):
-            classes.append((design, automorphism_group(design)))
+        by_rank.setdefault(gf2_rank(design), []).append(design)
+    classes: list[tuple[IncidenceStructure, PermGroup]] = []
+    for rank, group in by_rank.items():
+        assert verify_design(group[0]) == (16, 16, 6, 6, 2)
+        aut = automorphism_group(group[0])
+        assert len(group) * aut.order() == 16 * 6 * factorial(5), \
+            "%d completions of 2-rank %d, |Aut| = %d" % (len(group), rank, aut.order())
+        classes.append((group[0], aut))
     classes.sort(key=lambda pair: -pair[1].order())
     return tuple(classes)
 

@@ -31,26 +31,19 @@ class BudgetExhausted(RuntimeError):
 class RegularAction:
     """A group acting regularly; element_of[p] is the element taking 0 to p."""
 
-    def __init__(self, group: PermGroup, element_of: dict[int, Perm]):
-        if not group.is_regular():
-            raise ValueError("group of order %d is not regular on %d points"
-                             % (group.order(), group.degree))
-        if len(element_of) != group.degree:
-            raise ValueError("element_of must cover all %d points" % group.degree)
-        for point, g in element_of.items():
-            if g[0] != point:
-                raise ValueError("element for point %d moves 0 to %d"
-                                 % (point, g[0]))
-        self.group = group
-        self.element_of = dict(element_of)
-
-    @classmethod
-    def from_group(cls, group: PermGroup) -> "RegularAction":
+    def __init__(self, group: PermGroup):
         if group.order() != group.degree:
             raise ValueError("group of order %d cannot act regularly on %d points"
                              % (group.order(), group.degree))
-        element_of = {g[0]: g for g in group.iter_elements()}
-        return cls(group, element_of)
+        if not group.is_regular():
+            raise ValueError("group of order %d is not regular on %d points"
+                             % (group.order(), group.degree))
+        self.group = group
+        self.element_of = {g[0]: g for g in group.iter_elements()}
+
+    @classmethod
+    def from_group(cls, group: PermGroup) -> "RegularAction":
+        return cls(group)
 
     @property
     def degree(self) -> int:

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import pytest
 
-from symdesign.catalog import B1, B2, DATA_DIR
+from symdesign.catalog import B1, DATA_DIR
 from symdesign.design import IncidenceStructure, develop
 from symdesign.diffset import RegularAction, is_difference_set
 from symdesign.perm import Perm, PermGroup, parse_generator_file
@@ -61,10 +61,12 @@ class D64(NamedTuple):
 @pytest.fixture(scope="module")
 def d64() -> D64:
     """The order-43008 group of data/d64_generators.txt, the base block
-    catalog.B1 (0-based), and the developments of B1 and B2 under it.
+    catalog.B1 (0-based), and the developments under it of B1 and of the
+    other 28 points outside point 0's class.
     Built once per module, so a group kept on a design by one module's
     searches is not seen by another."""
     degree, gens = parse_generator_file((DATA_DIR / "d64_generators.txt").read_text())
     group = PermGroup(gens, degree)
-    base1, base2 = [x - 1 for x in B1], [x - 1 for x in B2]
+    base1 = [x - 1 for x in B1]
+    base2 = sorted(set(range(8, 64)) - set(base1))
     return D64(group, base1, develop(group, base1), develop(group, base2))

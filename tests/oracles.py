@@ -279,3 +279,35 @@ def hussain_biplanes() -> tuple[int, list[list[tuple[int, ...]]]]:
 
     extend(chain)
     return nodes, found
+
+
+def frame_labellings(blocks: list[tuple[int, ...]]) -> list[frozenset[tuple[int, ...]]]:
+    """The block set of a 2-(16,6,2) design relabelled through each of its
+    16 * 6 * 5! frames, in the labels of hussain_biplanes.
+
+    A frame is a block B, a point p of B and an order q_1, ..., q_5 of B's
+    other points: p becomes 0, q_i becomes i, and a point outside B
+    becomes 6 + n for the n-th pair {i, j} of {1, ..., 5} with the point on
+    the second blocks through {p, q_i} and {p, q_j}.  Two designs are
+    isomorphic exactly when they share a labelling, and the frames that
+    give a design its own labelling are its automorphisms.
+    """
+    from itertools import permutations
+
+    label = {p: 6 + n for n, p in enumerate(combinations(range(1, 6), 2))}
+    label.update({(j, i): n for (i, j), n in label.items()})
+    sets = [frozenset(b) for b in blocks]
+    out = []
+    for base in sets:
+        for p in base:
+            # the two points of B whose second blocks through p hold x
+            on: dict[int, list[int]] = {}
+            for q in base - {p}:
+                second, = (b for b in sets if b != base and {p, q} <= b)
+                for x in second - base:
+                    on.setdefault(x, []).append(q)
+            for order in permutations(sorted(base - {p})):
+                m = {p: 0, **{q: i for i, q in enumerate(order, 1)}}
+                m.update({x: label[m[a], m[b]] for x, (a, b) in on.items()})
+                out.append(frozenset(tuple(sorted(m[x] for x in b)) for b in sets))
+    return out

@@ -19,7 +19,6 @@ from conftest import INVOLUTION_IMG, SEVEN_CYCLE_IMG, TRIPLING_IMG, \
 from symdesign import catalog
 from symdesign.catalog import (
     B1,
-    B2,
     COMPLETE_BLOCK_LIMIT,
     CatalogEntry,
     biplane_classes,
@@ -47,6 +46,10 @@ from symdesign.perm import (
     minimal_block_systems,
     rank_and_subdegrees,
 )
+
+# d64-2's base block, 1-based as printed
+D64_2_BASE = (10, 12, 14, 16, 18, 19, 21, 24, 27, 28, 29, 30, 34, 36, 37, 39,
+              45, 46, 47, 48, 51, 52, 55, 56, 59, 60, 63, 64)
 
 GENERATOR_FILE_SHA256 = \
     "72029aac7da24038e2cc228d2103873202cb18c9a6e7b3c926f133358ddb3ac6"
@@ -228,6 +231,23 @@ class TestBiplanesFromScratch:
             for j, (dev, _) in enumerate(classes):
                 assert (are_isomorphic(rep, dev) is not None) == (i == j)
 
+    def test_class_sizes_times_aut_count_the_frames(self):
+        """Split by the oracle's frame labellings, the 46 completions fall
+        into classes of 1, 15 and 30; the frames giving a class's first
+        completion its own labelling are its automorphisms, and each class
+        size times their number is 16 * 6 * 5!."""
+        _, found = oracles.hussain_biplanes()
+        sizes, auts, left = [], [], [frozenset(b) for b in found]
+        while left:
+            labellings = oracles.frame_labellings(sorted(left[0]))
+            orbit = set(labellings)
+            sizes.append(sum(b in orbit for b in left))
+            auts.append(labellings.count(left[0]))
+            left = [b for b in left if b not in orbit]
+        assert sizes == [1, 15, 30]
+        assert [size * aut for size, aut in zip(sizes, auts)] == [11520] * 3
+        assert auts == [aut.order() for _, aut in biplane_classes()]
+
     def test_completions_match_the_oracle(self):
         _, found = oracles.hussain_biplanes()
         got = {as_sets([x for x in range(16) if b >> x & 1] for b in blocks)
@@ -288,8 +308,8 @@ class TestBiplaneSearch:
             BIPLANE_CLASSES_SHA256
 
     def test_each_class_group_is_computed_once(self, monkeypatch):
-        """Each isomorphism test reads the class group kept on its
-        representative: every call returns one of the three class groups."""
+        """One automorphism search per rank group: every call returns one
+        of the three class groups."""
         from symdesign import iso
         calls = []
 
@@ -305,9 +325,9 @@ class TestBiplaneSearch:
         assert [aut.order() for _, aut in classes] == [11520, 768, 384]
 
     def test_search_counts_are_pinned(self, monkeypatch):
-        """46 completions, one design checked per S5 orbit, then the
-        isomorphism tests and one automorphism search per class."""
-        calls = {"completions": 0, "orbits": 0, "are_isomorphic": 0,
+        """46 completions, one 2-rank each, then one design check and one
+        automorphism search per rank group; no isomorphism test is left."""
+        calls = {"completions": 0, "gf2_rank": 0, "verify_design": 0,
                  "automorphism_group": 0}
 
         def counting(key, real):
@@ -323,13 +343,23 @@ class TestBiplaneSearch:
 
         real_completions = catalog._chain_completions
         monkeypatch.setattr(catalog, "_chain_completions", completions)
-        for key, name in (("orbits", "verify_design"),
-                          ("are_isomorphic", "are_isomorphic"),
-                          ("automorphism_group", "automorphism_group")):
-            monkeypatch.setattr(catalog, name, counting(key, getattr(catalog, name)))
+        for name in ("gf2_rank", "verify_design", "automorphism_group"):
+            monkeypatch.setattr(catalog, name, counting(name, getattr(catalog, name)))
         biplane_classes.__wrapped__()
-        assert calls == {"completions": 46, "orbits": 4, "are_isomorphic": 6,
+        assert calls == {"completions": 46, "gf2_rank": 46, "verify_design": 3,
                          "automorphism_group": 3}
+        assert not hasattr(catalog, "are_isomorphic")
+
+    @pytest.mark.parametrize("dropped", [1, 3, 45])
+    def test_a_missing_completion_breaks_the_frame_count(self, monkeypatch, dropped):
+        """Completions 1 and 45 have 2-rank 7, completion 3 has 2-rank 8.
+        Completion 0 is the whole rank-6 class: without it the class is
+        gone and the other two counts still hold."""
+        real = catalog._chain_completions
+        monkeypatch.setattr(catalog, "_chain_completions",
+                            lambda: [c for i, c in enumerate(real()) if i != dropped])
+        with pytest.raises(AssertionError, match="completions of 2-rank"):
+            biplane_classes.__wrapped__()
 
     def test_exactly_two_classes_are_flag_transitive(self):
         from symdesign.design import is_flag_transitive
@@ -490,9 +520,12 @@ class TestSixtyFourPointDesigns:
         assert digest == GENERATOR_FILE_SHA256
 
     def test_base_blocks_partition_the_moved_points(self):
-        assert len(B1) == len(B2) == 28
-        assert set(B1) | set(B2) == set(range(9, 65))
-        assert set(B1) & set(B2) == set()
+        """B1 and d64-2's base block, as printed, split the 56 points
+        outside the class {1..8} of point 1; d64-2 develops the latter."""
+        assert len(B1) == len(D64_2_BASE) == 28
+        assert set(B1) | set(D64_2_BASE) == set(range(9, 65))
+        assert set(B1) & set(D64_2_BASE) == set()
+        assert tuple(x - 1 for x in D64_2_BASE) in entry("d64-2").design.blocks
 
     def test_pairwise_non_isomorphic(self):
         designs = [entry(name).design for name in ("d64-1", "d64-2", "s-minus-3")]
