@@ -174,6 +174,8 @@ def biplane_classes() -> tuple[tuple[IncidenceStructure, PermGroup], ...]:
         assert len(group) * aut.order() == 16 * 6 * factorial(5), \
             "%d completions of 2-rank %d, |Aut| = %d" % (len(group), rank, aut.order())
         classes.append((group[0], aut))
+    # a lost class leaves the others' frame counts whole (Husain, 1945: three)
+    assert len(classes) == 3, "%d classes of 2-(16,6,2) designs, not 3" % len(classes)
     classes.sort(key=lambda pair: -pair[1].order())
     return tuple(classes)
 

@@ -26,7 +26,7 @@ from .diffset import (
     find_regular_subgroups,
     is_difference_set,
 )
-from .enumeration import all_rows, render_csv, render_table
+from .enumeration import all_rows, render_csv, render_rows, render_table
 from .iso import are_isomorphic, automorphism_group
 from .perm import PermGroup, minimal_block_systems, parse_generator_file
 
@@ -86,13 +86,6 @@ def _parse_subset(spec: str, degree: int) -> list[int]:
     if len(set(points)) != len(points):
         raise UsageError("subset has repeated points")
     return [p - 1 for p in points]
-
-
-def _regular_action(group: PermGroup) -> RegularAction:
-    try:
-        return RegularAction.from_group(group)
-    except ValueError as err:
-        raise UsageError("group is not regular: %s" % err)
 
 
 def cmd_verify(args) -> int:
@@ -158,8 +151,7 @@ def cmd_decompose(args) -> int:
     if args.format == "json":
         print(json.dumps(fields))
     elif args.format == "csv":
-        print(",".join(fields))
-        print(",".join("-" if x is None else str(x) for x in fields.values()))
+        sys.stdout.write(render_rows(fields, [fields.values()]))
     else:
         print(d.table_row())
     return EXIT_OK
@@ -236,7 +228,10 @@ def cmd_diffset(args) -> int:
                 print(p.cycle_string())
         return EXIT_OK
 
-    action = _regular_action(group)
+    try:
+        action = RegularAction.from_group(group)
+    except ValueError as err:
+        raise UsageError("group is not regular: %s" % err)
     subset = _parse_subset(args.subset, group.degree)
     if args.diffset_command == "develop":
         sys.stdout.write(design_to_json(develop_difference_set(action, subset)))

@@ -31,7 +31,7 @@ from .design import (
     is_flag_transitive,
     verify_design,
 )
-from .enumeration import complete_inner, make_row
+from .enumeration import TABLE5_COLUMNS, cell, complete_inner, make_row
 from .perm import PermGroup
 
 
@@ -58,13 +58,12 @@ class CZDecomposition(NamedTuple):
     def fields(self) -> dict[str, int | None]:
         """The twelve Table 5 columns, in order."""
         p0, p1 = self.d0_params, self.d1_params
-        return {"v0": self.v0, "k0": self.k0, "lambda0": self.lambda0,
-                "r0": p0.r, "b0": p0.b, "theta": self.theta,
-                "v1": self.v1, "k1": self.k1, "lambda1": self.lambda1,
-                "r1": p1.r, "b1": p1.b, "mu": self.mu}
+        return dict(zip(TABLE5_COLUMNS, (
+            self.v0, self.k0, self.lambda0, p0.r, p0.b, self.theta,
+            self.v1, self.k1, self.lambda1, p1.r, p1.b, self.mu)))
 
     def table_row(self) -> str:
-        cells = ["-" if x is None else str(x) for x in self.fields().values()]
+        cells = [cell(x) for x in self.fields().values()]
         return " | ".join((" ".join(cells[:6]), " ".join(cells[6:11]), cells[11]))
 
 

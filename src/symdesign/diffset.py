@@ -53,13 +53,6 @@ class RegularAction:
         return "RegularAction(order %d)" % self.group.order()
 
 
-def _quotient_rows(action: RegularAction, points: Sequence[int]) -> list[tuple[int, ...]]:
-    """Row q is the image tuple of d_q^{-1}, which carries q to point 0;
-    entry p names the quotient d_p * d_q^{-1} by the point it sends 0 to,
-    as the action is regular."""
-    return [action.element_of[q].inv().img for q in points]
-
-
 def is_difference_set(action: RegularAction, d: Iterable[int],
                       lam: int) -> tuple[bool, list[tuple[Perm, int]]]:
     """Count quotients d_i * d_j^{-1}; report elements missing lambda.
@@ -71,7 +64,11 @@ def is_difference_set(action: RegularAction, d: Iterable[int],
     if any(p not in action.element_of for p in points):
         raise ValueError("subset contains points outside the action")
     counts = [0] * action.degree
-    for row in _quotient_rows(action, points):
+    for q in points:
+        # row q is the image tuple of d_q^{-1}, which carries q to point 0;
+        # entry p names the quotient d_p * d_q^{-1} by the point it sends 0
+        # to, as the action is regular
+        row = action.element_of[q].inv().img
         for p in points:
             counts[row[p]] += 1
     report = [(action.element_of[x], counts[x]) for x in range(action.degree)

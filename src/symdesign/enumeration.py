@@ -18,6 +18,7 @@ groups realizing them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -139,26 +140,23 @@ class ParamRow(NamedTuple):
     mu_condition: int
     mu_s: int | None
 
-    def lambda_at(self, mu: int) -> int:
-        value = self.lambda_of_mu * mu
+    def _at(self, coefficient: Fraction, mu: int) -> int:
+        value = coefficient * mu
         if value.denominator != 1:
             raise ValueError("mu=%d violates the condition mod %d" % (mu, self.mu_condition))
         return int(value)
+
+    def lambda_at(self, mu: int) -> int:
+        return self._at(self.lambda_of_mu, mu)
 
     def r_at(self, mu: int) -> int:
-        value = self.r_of_mu * mu
-        if value.denominator != 1:
-            raise ValueError("mu=%d violates the condition mod %d" % (mu, self.mu_condition))
-        return int(value)
+        return self._at(self.r_of_mu, mu)
 
     def b_at(self, mu: int) -> int:
-        return int(self.b_of_mu * mu)
+        return self._at(self.b_of_mu, mu)
 
     def theta_at(self, mu: int) -> int:
-        num, den = self.theta
-        if (num * mu) % den:
-            raise ValueError("mu=%d violates the condition mod %d" % (mu, self.mu_condition))
-        return num * mu // den
+        return self._at(Fraction(*self.theta), mu)
 
 
 def _sort_key(row: ParamRow) -> tuple[int, int, int, int, int]:
@@ -270,45 +268,39 @@ def symmetric_filter(rows: list[ParamRow]) -> list[ParamRow]:
     return kept
 
 
-def _coeff(value: Fraction | tuple[int, int]) -> str:
-    if isinstance(value, tuple):
-        num, den = value
-    else:
-        num, den = value.numerator, value.denominator
+def cell(value: int | Fraction | tuple[int, int] | None) -> str:
+    """One table cell: "-" for None, else n or n/d; a (num, den) pair stays unreduced."""
+    if value is None:
+        return "-"
+    num, den = value if isinstance(value, tuple) else (value.numerator, value.denominator)
     return "%d" % num if den == 1 else "%d/%d" % (num, den)
 
 
-MU_HEADER = ("v0,k0,lambda0,r0,b0,theta_mu,v1,k1,lambda1,r1,b1,"
-             "v,k,lambda_mu,r_mu,b_mu,mu_mod,mu_s")
-SYMMETRIC_HEADER = "v0,k0,lambda0,r0,b0,theta,v1,k1,lambda1,r1,b1,mu,v,k,lambda"
+def render_rows(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A CSV text: the header line, then one line of cells per row."""
+    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+
+
+# ParamRow's fields, in order
+MU_HEADER = tuple("v0 k0 lambda0 r0 b0 theta_mu v1 k1 lambda1 r1 b1 "
+                  "v k lambda_mu r_mu b_mu mu_mod mu_s".split())
+# the twelve columns of a Table 5 decomposition (decomp.CZDecomposition.fields)
+TABLE5_COLUMNS = tuple("v0 k0 lambda0 r0 b0 theta v1 k1 lambda1 r1 b1 mu".split())
+SYMMETRIC_HEADER = TABLE5_COLUMNS + ("v", "k", "lambda")
 
 
 def render_csv(rows: list[ParamRow]) -> str:
-    lines = [MU_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.v0), str(r.k0), str(r.lambda0), str(r.r0), str(r.b0),
-            _coeff(r.theta),
-            str(r.v1), str(r.k1), str(r.lambda1), str(r.r1), str(r.b1),
-            str(r.v), str(r.k),
-            _coeff(r.lambda_of_mu), _coeff(r.r_of_mu), _coeff(r.b_of_mu),
-            str(r.mu_condition),
-            "-" if r.mu_s is None else str(r.mu_s),
-        ]))
-    return "\n".join(lines) + "\n"
+    return render_rows(MU_HEADER, rows)
 
 
 def render_symmetric_csv(rows: list[ParamRow]) -> str:
-    lines = [SYMMETRIC_HEADER]
+    values = []
     for r in rows:
         mu = r.mu_s
         assert mu is not None
-        lines.append(",".join(str(x) for x in [
-            r.v0, r.k0, r.lambda0, r.r0, r.b0, r.theta_at(mu),
-            r.v1, r.k1, r.lambda1, r.r1, r.b1,
-            mu, r.v, r.k, r.lambda_at(mu),
-        ]))
-    return "\n".join(lines) + "\n"
+        # the inner and quotient columns with theta at mu, then mu, v, k, lambda
+        values.append(r[:5] + (r.theta_at(mu),) + r[6:11] + (mu, r.v, r.k, r.lambda_at(mu)))
+    return render_rows(SYMMETRIC_HEADER, values)
 
 
 def table_rows(vmax: int = 100) -> dict[str, list[ParamRow]]:
@@ -329,6 +321,4 @@ def table_rows(vmax: int = 100) -> dict[str, list[ParamRow]]:
 
 def render_table(name: str, vmax: int = 100) -> str:
     rows = table_rows(vmax)[name]
-    if name == "table5":
-        return render_symmetric_csv(rows)
-    return render_csv(rows)
+    return render_symmetric_csv(rows) if name == "table5" else render_csv(rows)

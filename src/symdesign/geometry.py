@@ -1,7 +1,8 @@
 """Finite fields of order 2, 3, 4 and the small affine/projective designs.
 
-Field elements are integers 0..q-1 indexing lookup tables; GF(4) uses the
-polynomial x^2 + x + 1, with 2 and 3 standing for the two primitive elements.
+Field elements are integers 0..q-1 indexing lookup tables; products and
+inverses are read off the powers of the least primitive element, and GF(4)
+uses x^2 + x + 1, with 2 and 3 standing for its two primitive elements.
 Points of a geometry are coordinate tuples ordered lexicographically, and
 projective representatives are normalized so the first nonzero coordinate
 is 1.  Everything downstream relies on this ordering being stable.
@@ -30,34 +31,20 @@ class GF:
         if q not in (2, 3, 4):
             raise ValueError("only q in {2,3,4} is supported, got %d" % q)
         self.q = q
-        if q == 4:
-            # bits (hi, lo) represent hi*w + lo where w^2 = w + 1
-            self.add = [[a ^ b for b in range(4)] for a in range(4)]
-            mul = [[0] * 4 for _ in range(4)]
-            for a in range(1, 4):
-                for b in range(1, 4):
-                    # multiply as polynomials in w, then reduce w^2 -> w + 1
-                    a1, a0 = a >> 1, a & 1
-                    b1, b0 = b >> 1, b & 1
-                    c2 = a1 & b1
-                    c1 = (a1 & b0) ^ (a0 & b1) ^ c2
-                    c0 = (a0 & b0) ^ c2
-                    mul[a][b] = (c1 << 1) | c0
-            self.mul = mul
-        else:
-            self.add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self.mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        self.inv = [0] + [
-            next(b for b in range(1, q) if self.mul[a][b] == 1) for a in range(1, q)
-        ]
-        # the least generator of the multiplicative group
-        self.primitive = {2: 1, 3: 2, 4: 2}[q]
+        # the powers 1, w, w^2 of the least primitive element w, exponents
+        # mod q - 1; over GF(4) w = 2 and w^2 = w + 1 = 3, and addition is XOR
+        n = q - 1
+        powers = [1, 2, 3][:n]
+        log = {x: e for e, x in enumerate(powers)}
+        self.add = [[a ^ b if q == 4 else (a + b) % q for b in range(q)] for a in range(q)]
+        self.mul = [[powers[(log[a] + log[b]) % n] if a and b else 0 for b in range(q)]
+                    for a in range(q)]
+        self.inv = [0] + [powers[-log[a] % n] for a in range(1, q)]
+        self.primitive = powers[1 % n]
 
     def frobenius(self, a: int) -> int:
         """x -> x^p for q = p^e; the identity unless q = 4."""
-        if self.q == 4:
-            return self.mul[a][a]
-        return a
+        return self.mul[a][a] if self.q == 4 else a
 
 
 class GeometryDesign(NamedTuple):
@@ -84,9 +71,11 @@ def _semilinear_maps(field: GF, n: int) -> list:
     return maps
 
 
-def _perm_from_point_map(points: list[tuple[int, ...]], fn) -> Perm:
+def _group_on(points: list[tuple[int, ...]], maps: list) -> PermGroup:
+    """The group generated by maps, each a bijection of points."""
     index = {p: i for i, p in enumerate(points)}
-    return Perm(tuple(index[fn(p)] for p in points))
+    return PermGroup([Perm(tuple(index[fn(p)] for p in points)) for fn in maps],
+                     len(points))
 
 
 def build_affine_design(dim: int, q: int, block_dim: int) -> GeometryDesign:
@@ -108,10 +97,8 @@ def build_affine_design(dim: int, q: int, block_dim: int) -> GeometryDesign:
     points = list(product(range(q), repeat=dim))
     translations = [lambda p, i=i: p[:i] + (field.add[p[i]][1],) + p[i + 1:]
                     for i in range(dim)]
-    gens = [_perm_from_point_map(points, fn)
-            for fn in translations + _semilinear_maps(field, dim)]
+    group = _group_on(points, translations + _semilinear_maps(field, dim))
     base = [i for i, p in enumerate(points) if not any(p[block_dim:])]
-    group = PermGroup(gens, len(points))
     return GeometryDesign(develop(group, base), group)
 
 
@@ -135,11 +122,10 @@ def build_projective_design(dim: int, q: int, hyperplanes: bool = False) -> Geom
 
     points = [p for p in product(range(q), repeat=dim + 1)
               if any(p) and _normalize_projective(field, p) == p]
-    gens = [_perm_from_point_map(points, lambda p, fn=fn: _normalize_projective(field, fn(p)))
-            for fn in _semilinear_maps(field, dim + 1)]
+    group = _group_on(points, [lambda p, fn=fn: _normalize_projective(field, fn(p))
+                               for fn in _semilinear_maps(field, dim + 1)])
     base = [i for i, p in enumerate(points)
             if (p[0] == 0 if hyperplanes else not any(p[2:]))]
-    group = PermGroup(gens, npoints)
     return GeometryDesign(develop(group, base), group)
 
 
@@ -159,8 +145,8 @@ def restricted_semilinear_group(n: int) -> PermGroup:
     def to_bits(u: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(bit for a in u for bit in (a & 1, a >> 1))
 
-    return PermGroup([_perm_from_point_map(vectors, lambda p, fn=fn: to_bits(fn(to_gf4(p))))
-                      for fn in _semilinear_maps(GF(4), n)], len(vectors))
+    return _group_on(vectors, [lambda p, fn=fn: to_bits(fn(to_gf4(p)))
+                               for fn in _semilinear_maps(GF(4), n)])
 
 
 def _semilinear_order(n: int, q: int) -> int:

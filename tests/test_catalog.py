@@ -350,15 +350,16 @@ class TestBiplaneSearch:
                          "automorphism_group": 3}
         assert not hasattr(catalog, "are_isomorphic")
 
-    @pytest.mark.parametrize("dropped", [1, 3, 45])
+    @pytest.mark.parametrize("dropped", [0, 1, 3, 45])
     def test_a_missing_completion_breaks_the_frame_count(self, monkeypatch, dropped):
         """Completions 1 and 45 have 2-rank 7, completion 3 has 2-rank 8.
         Completion 0 is the whole rank-6 class: without it the class is
-        gone and the other two counts still hold."""
+        gone, the other two counts still hold and the class count fails."""
         real = catalog._chain_completions
         monkeypatch.setattr(catalog, "_chain_completions",
                             lambda: [c for i, c in enumerate(real()) if i != dropped])
-        with pytest.raises(AssertionError, match="completions of 2-rank"):
+        match = r"2 classes of 2-\(16,6,2\)" if dropped == 0 else "completions of 2-rank"
+        with pytest.raises(AssertionError, match=match):
             biplane_classes.__wrapped__()
 
     def test_exactly_two_classes_are_flag_transitive(self):

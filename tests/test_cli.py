@@ -1,5 +1,6 @@
 """Exit codes, formats, and pipelines of the command-line interface."""
 
+import hashlib
 import io
 import json
 import os
@@ -228,6 +229,53 @@ class TestDecompose:
         assert main(["decompose", design, gens, "--system", "99"]) == 2
 
 
+# sha256 of [exit code, stdout, stderr] of `enumerate --vmax V` in the table,
+# csv and json formats, for the merged listing and each --table, recorded
+# before the tables were written through one cell rule and one CSV writer
+ENUMERATE_SHA256 = {
+    (100, None): (
+        "2b4d4437d5eaff75a862ea98892f9f7e0e1177b6cfaca4a9ca31b8a516e0406e",
+        "9f5a085ab8fce213b3127603c3205b831470d8698b4b846a42b4a5a2d3f608ef",
+        "8709baec77f690b56d79273c3dfd47e04428f07d6014ad6f9b1983552d86ecf7"),
+    (100, 'table2'): (
+        "070b8feb853adde1efe204bc76e26905ac02de4ebbd6e69e3deeb7594a4f98e0",
+        "edc8df9680616e115a383695ae28e68caf5451ca34d8595193bb74d20f1867c4",
+        "614c14d8f8611e9460a63c9dae7a1e7b39cfbd78c921b1a346d6bfd7f5a88015"),
+    (100, 'table3'): (
+        "2924cc696493c5f69d5997dd6dc5a6dbf70ecd709efb7fbebb04d2fd0511ee92",
+        "b0d609f95d5ec2c313a31220c10c8ef342a77bcb7e42d8bdcb94965527e961ed",
+        "1a29447200aa3f5a44e8bd848d547c140c06b6a6ee82238ec3ffa9b08b9ed189"),
+    (100, 'table4'): (
+        "683d03d401873adf6cbb25dab70ab6d24ad2b859ce7828ef8b6a225a299f3682",
+        "dccfb08c39f48c4d583608ba192d77e8f38eff714860acbedf0648b970339f9f",
+        "cac8f6a2a6d0b66fd3a7c062f60871ed4f56855f213224f61809a60db991b5d0"),
+    (100, 'table5'): (
+        "b06e7af4ecf1ff9fbf8a9020e8bcbac26138fc188bb1bfbe928334327215827c",
+        "da11400524593db26cb8b7bcc9b8a96edfc2dfd0f1b3f235421d985c3d02aeaa",
+        "4ebbbfd30ff2b7519b3fcd0a4f2ebb4fd42a25e1b959ab256a7ac92a186697a5"),
+    (64, None): (
+        "a36c0c4b2a43dee6d34ea135763c53ff4789f097f205a5be025b5722b8e80680",
+        "ac0a80731698dd9f515e328207b97537d32be7c3f4d0d7cac490e64149e36c1b",
+        "0ad63bb120f4da72280ab1dcc0a5b977da1d35814245e89dce32a229253ab69a"),
+    (64, 'table2'): (
+        "ef00cc921f8565bfc04331ffdd08d580930411d268d14b09f9e756361e40236f",
+        "96f237809dd6802518ad6c7bbeaaacc3b7588ff554291a8a48b3fd52ff55f4b0",
+        "2e28872d443c8f9953636f034c8935837bb5e58d0172ae2c25cfe155a805547b"),
+    (64, 'table3'): (
+        "22083b6f94d841a427c0392160ae28a2c3635664a8bd074d2fc029621826c763",
+        "94795d0800abcf45a59f6788941c623b0a70ce7f54b802f531e8263019ce1c79",
+        "3bee8bd408b057af1b8e286b58e55faac8660a477ee29377011398dc4dfad505"),
+    (64, 'table4'): (
+        "2e42408f11224a3c22c906188d06ef6dcabdbbe6b1b91ed6a02000411cdc661a",
+        "929165fbac04c52bc033680b2d09631addfa01a1843fc5f38a2dd96f8c1ac4ef",
+        "e87a70feb484da9c6bfb4b43243fe48277979c9d53e2d6428715e070260e42d7"),
+    (64, 'table5'): (
+        "cdc7788a81d44b463788f299d90c4a3081f899cd9841b036cde706162bb7a2c4",
+        "d8ff18b6fb02f7d1dc789c2c28da0a984e40358ca7977286dd75f58177b1f57f",
+        "6c56183d61ccd97cdce0ec9411f167543980127aa7b78439f4c727ac65e1f9d2"),
+}
+
+
 class TestEnumerate:
     def test_symmetric_csv_matches_golden_file(self, capsys):
         assert main(["enumerate", "--symmetric", "--format", "csv"]) == 0
@@ -252,6 +300,17 @@ class TestEnumerate:
 
     def test_flag_conflict_is_usage_error(self, capsys):
         assert main(["enumerate", "--symmetric", "--table", "table2"]) == 2
+
+    @pytest.mark.parametrize("vmax,table", list(ENUMERATE_SHA256))
+    def test_outputs_are_pinned(self, vmax, table, capsys):
+        got = []
+        for fmt in ("table", "csv", "json"):
+            argv = ["enumerate", "--vmax", str(vmax), "--format", fmt]
+            code = main(argv + (["--table", table] if table else []))
+            captured = capsys.readouterr()
+            record = json.dumps([code, captured.out, captured.err])
+            got.append(hashlib.sha256(record.encode()).hexdigest())
+        assert tuple(got) == ENUMERATE_SHA256[(vmax, table)]
 
 
 class TestConstructAndClaims:
