@@ -36,6 +36,14 @@ Groups derived from a chain reuse it:
   point, which stops as soon as the basic orbit lengths multiply up to the
   order already known.
 
+Chain elements are byte strings, one point per byte (``MAX_POINTS`` is
+below 256), so a product is one ``bytes.translate`` call and an inverse one
+``bytes.maketrans`` call.  A transversal entry ``u`` on ``n`` points is
+held as its ``n`` images, ``u``'s inverse and a level's generators as the
+256-byte tables ``translate`` needs, fixing the points from ``n`` on;
+``u.translate(g)`` is ``u * g``.  Strong generators stay ``Perm``s, so
+groups hand out image tuples only.
+
 References: Seress, *Permutation Group Algorithms* (2003), ch. 4–5; Holt,
 Eick and O'Brien, *Handbook of Computational Group Theory* (2005), §4.4.
 """
@@ -48,6 +56,8 @@ from collections.abc import Iterable, Iterator, Sequence
 
 # the package's scope: designs and groups on at most this many points
 MAX_POINTS = 100
+# the identity table of bytes.translate; _ID[:n] is the identity on n points
+_ID = bytes(range(256))
 
 
 class Perm:
@@ -57,7 +67,7 @@ class Perm:
 
     def __init__(self, img: Sequence[int]):
         img = tuple(img)
-        if sorted(img) != list(range(len(img))):
+        if any(type(x) is not int for x in img) or sorted(img) != list(range(len(img))):
             raise ValueError("not a permutation of 0..n-1: %r" % (img,))
         self.img = img
 
@@ -94,7 +104,9 @@ class Perm:
         return _perm(tuple([oi[x] for x in self.img]))
 
     def inv(self) -> "Perm":
-        return _perm(_inverse(self.img))
+        """The inverse; the degree must be at most 256, one point per byte."""
+        n = len(self.img)
+        return _perm(tuple(bytes.maketrans(bytes(self.img), _ID[:n])[:n]))
 
     def is_identity(self) -> bool:
         return self.img == tuple(range(len(self.img)))
@@ -156,13 +168,6 @@ def _perm(img: tuple[int, ...]) -> Perm:
     p = _new(Perm)
     p.img = img
     return p
-
-
-def _inverse(img: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(img)
-    for x, y in enumerate(img):
-        out[y] = x
-    return tuple(out)
 
 
 def parse_permutation(text: str, degree: int) -> Perm:
@@ -227,12 +232,12 @@ class _OrderReached(Exception):
 class PermGroup:
     """A permutation group with a deterministic Schreier–Sims stabilizer chain.
 
-    Every generator, the identity too, must have the group's degree; the
-    chain is built on the first query that reads it (module docstring).  Base
-    points are the points of ``_base_hint`` (kept even where the group
-    fixes them), then the smallest point moved by each new strong
-    generator; transversals are grown breadth-first in generator order and
-    only ever extended.
+    The degree is at most ``MAX_POINTS``, and every generator, the identity
+    too, must have it; the chain is built on the first query that reads it
+    (module docstring).  Base points are the points of ``_base_hint`` (kept
+    even where the group fixes them), then the smallest point moved by each
+    new strong generator; transversals are grown breadth-first in generator
+    order and only ever extended.
 
     A chain never changes once built, so ``point_stabilizer`` and
     ``extend`` can derive new groups from it, and a stabilizer shares its
@@ -253,12 +258,13 @@ class PermGroup:
         _order: int | None = None,
         _chain: "PermGroup | None" = None,
     ):
+        if not 0 <= degree <= MAX_POINTS:
+            raise ValueError("degree %d outside 0..%d" % (degree, MAX_POINTS))
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree %d is not the group's %d" % (g.degree, degree))
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
-        self._ident = tuple(range(degree))
         self._pending = (_base_hint, _order, _chain)
 
     def __getattr__(self, name: str):
@@ -275,8 +281,8 @@ class PermGroup:
         if _chain is None:
             self._base: list[int] = []
             self._lvl_gens: list[list[Perm]] = []  # _lvl_gens[i] generates the stabilizer of _base[:i]
-            # _trans[i][x] = (u, u^-1) as image tuples, where u maps _base[i] to x
-            self._trans: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+            # _trans[i][x] = (u, table of u^-1), where u maps _base[i] to x
+            self._trans: list[dict[int, tuple[bytes, bytes]]] = []
             # _checked[i] = (p, n): the Schreier generators of the first p
             # points and first n generators of level i are known to sift
             self._checked: list[tuple[int, int]] = []
@@ -294,9 +300,9 @@ class PermGroup:
             new = self.generators[len(_chain.generators):]
         try:
             for g in new:
-                residue, j = self._strip(g.img, 0)
-                if residue != self._ident:
-                    self._insert_generator(_perm(residue), j, 0)
+                residue, j = self._strip(bytes(g.img), 0)
+                if residue != _ID[:self.degree]:
+                    self._insert_generator(_perm(tuple(residue)), j, 0)
             for i in range(len(self._base) - 1, -1, -1):
                 self._verify_level(i, _order)
         except _OrderReached:
@@ -307,24 +313,24 @@ class PermGroup:
     def _append_level(self, point: int) -> None:
         self._base.append(point)
         self._lvl_gens.append([])
-        self._trans.append({point: (self._ident, self._ident)})
+        self._trans.append({point: (_ID[:self.degree], _ID)})
         self._checked.append((0, 0))
 
-    def _extend_transversal(self, i: int) -> None:
-        """Close the orbit of level i under its generators, keeping old entries."""
-        trans = self._trans[i]
-        imgs = [g.img for g in self._lvl_gens[i]]
+    def _extend_transversal(self, i: int, tables: list[bytes]) -> None:
+        """Close the orbit of level i under its generators' tables, keeping
+        old entries."""
+        trans, ident = self._trans[i], _ID[:self.degree]
         queue = list(trans)
         for x in queue:  # grows while it is read: breadth-first
             ux = trans[x][0]
-            for g in imgs:
+            for g in tables:
                 y = g[x]
                 if y not in trans:
-                    uy = tuple([g[z] for z in ux])
-                    trans[y] = (uy, _inverse(uy))
+                    uy = ux.translate(g)
+                    trans[y] = (uy, bytes.maketrans(uy, ident))
                     queue.append(y)
 
-    def _strip(self, img: tuple[int, ...], from_level: int) -> tuple[tuple[int, ...], int]:
+    def _strip(self, img: bytes, from_level: int) -> tuple[bytes, int]:
         """Sift an image through levels >= from_level; return (residue, level reached)."""
         base, trans = self._base, self._trans
         for i in range(from_level, len(base)):
@@ -334,8 +340,7 @@ class PermGroup:
                 rep = trans[i].get(x)
                 if rep is None:
                     return img, i
-                inv = rep[1]
-                img = tuple([inv[y] for y in img])
+                img = img.translate(rep[1])
         return img, len(base)
 
     def _insert_generator(self, g: Perm, level: int, from_level: int) -> None:
@@ -353,30 +358,29 @@ class PermGroup:
         generator list and transversal of level i stay valid for the whole
         scan.  Raises _OrderReached once the chain reaches a known order.
         """
-        trans = self._trans[i]
-        imgs = [g.img for g in self._lvl_gens[i]]
+        trans, gens = self._trans[i], self._lvl_gens[i]
         done_points, done_gens = self._checked[i]
-        if (done_points, done_gens) == (len(trans), len(imgs)):
+        if (done_points, done_gens) == (len(trans), len(gens)):
             return
-        self._extend_transversal(i)
+        ident = _ID[:self.degree]
+        tables = [bytes(g.img) + _ID[self.degree:] for g in gens]
+        self._extend_transversal(i, tables)
         if order is not None and self.order() == order:
             raise _OrderReached
-        ident = self._ident
         points = list(trans)
         for n, x in enumerate(points):
             ux = trans[x][0]
-            for g in imgs[done_gens if n < done_points else 0:]:
-                uy_inv = trans[g[x]][1]
-                schreier = tuple([uy_inv[g[z]] for z in ux])
+            for g in tables[done_gens if n < done_points else 0:]:
+                schreier = ux.translate(g).translate(trans[g[x]][1])
                 if schreier == ident:
                     continue
                 residue, j = self._strip(schreier, i + 1)
                 if residue == ident:
                     continue
-                self._insert_generator(_perm(residue), j, i + 1)
+                self._insert_generator(_perm(tuple(residue)), j, i + 1)
                 for l in range(min(j, len(self._base) - 1), i, -1):
                     self._verify_level(l, order)
-        self._checked[i] = (len(points), len(imgs))
+        self._checked[i] = (len(points), len(tables))
 
     # -- derived groups ----------------------------------------------------
 
@@ -403,35 +407,34 @@ class PermGroup:
             return rebased._first_stabilizer(None)
         return self._first_stabilizer(None if point == self._base[0] else rep)
 
-    def _first_stabilizer(
-        self, rep: tuple[tuple[int, ...], tuple[int, ...]] | None
-    ) -> "PermGroup":
+    def _first_stabilizer(self, rep: tuple[bytes, bytes] | None) -> "PermGroup":
         """Levels 1 and deeper as a group: the stabilizer of the first base point.
 
-        With rep = (t, t^-1) from the first transversal, the levels are
-        conjugated by t, giving the stabilizer of the point t carries the
-        first base point to.
+        With rep = (t, table of t^-1) from the first transversal, the levels
+        are conjugated by t, giving the stabilizer of the point t carries
+        the first base point to.
         """
         base, lvl_gens, trans = self._base[1:], self._lvl_gens[1:], self._trans[1:]
         if rep is not None:
-            t, t_inv = rep
+            tail = _ID[self.degree:]
+            t_table, t_inv = rep[0] + tail, rep[1][:self.degree]
 
-            def conj(img: tuple[int, ...]) -> tuple[int, ...]:
-                return tuple([t[img[z]] for z in t_inv])
+            def conj(table: bytes) -> bytes:
+                # t^-1 * g * t, as n images
+                return t_inv.translate(table).translate(t_table)
 
             conjugated: dict[int, Perm] = {}
             for gens in lvl_gens:
                 for g in gens:
                     if id(g) not in conjugated:
-                        conjugated[id(g)] = _perm(conj(g.img))
-            base = [t[b] for b in base]
+                        conjugated[id(g)] = _perm(tuple(conj(bytes(g.img) + tail)))
+            base = [t_table[b] for b in base]
             lvl_gens = [[conjugated[id(g)] for g in gens] for gens in lvl_gens]
-            trans = [{t[x]: (conj(u), conj(u_inv)) for x, (u, u_inv) in level.items()}
-                     for level in trans]
+            trans = [{t_table[x]: (conj(u + tail), conj(u_inv) + tail)
+                      for x, (u, u_inv) in level.items()} for level in trans]
         stab = _new(PermGroup)
         stab.degree = self.degree
         stab.generators = tuple(lvl_gens[0]) if lvl_gens else ()
-        stab._ident = self._ident
         stab._base, stab._lvl_gens, stab._trans = base, lvl_gens, trans
         stab._checked = self._checked[1:]
         return stab
@@ -459,8 +462,7 @@ class PermGroup:
         if g.degree != self.degree:
             raise ValueError("permutation degree %d does not match the group's %d"
                              % (g.degree, self.degree))
-        residue, _ = self._strip(g.img, 0)
-        return residue == self._ident
+        return self._strip(bytes(g.img), 0)[0] == _ID[:self.degree]
 
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
@@ -506,16 +508,18 @@ class PermGroup:
     def iter_elements(self) -> Iterator[Perm]:
         """All elements, via the transversal product; only sane for small orders."""
 
-        def rec(i: int, prefix: tuple[int, ...]) -> Iterator[Perm]:
+        tail = _ID[self.degree:]
+
+        def rec(i: int, prefix: bytes) -> Iterator[Perm]:
+            # prefix is the table of the product of the entries chosen so far
             if i == len(self._trans):
-                yield _perm(prefix)
+                yield _perm(tuple(prefix[:self.degree]))
                 return
             trans = self._trans[i]
             for x in sorted(trans):
-                u = trans[x][0]
-                yield from rec(i + 1, tuple([prefix[y] for y in u]))
+                yield from rec(i + 1, trans[x][0].translate(prefix) + tail)
 
-        yield from rec(0, self._ident)
+        yield from rec(0, _ID)
 
     def __repr__(self) -> str:
         return "PermGroup(degree=%d, order=%d, ngens=%d)" % (

@@ -76,8 +76,41 @@ def count_chain_builds(monkeypatch) -> list:
     return builds
 
 
+def chain_digest(g: PermGroup) -> str:
+    """sha256 of a chain's base, strong generators, transversal points in
+    insertion order, and order."""
+    record = (g.base, [x.img for x in g.strong_generators()],
+              [list(level) for level in g._trans], g.order())
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
 ALL_NAMES = ([name for name in names() if name != "complete(v,k)"]
              + ["complete(6,3)", "complete(8,7)"])
+
+# chain_digest of each entry's group: d64-1, s-minus-3 and pg5_2_complement
+# recorded when every chain was still built at construction, the others
+# while chain elements were still image tuples
+CHAIN_SHA256 = {
+    "d64-1": "40dd97c32cae3b1ca3cd89449fc9c089b0c85228ce3b104c85055ed05380a16e",
+    "s-minus-3": "77c92e1154e7d1d403c1a9ee0be1f68d2ebe216b16b64dc6d4654040dc443070",
+    "pg5_2_complement": "2ebdeb2087894d605ec79597fcb26d1e9de20327e9b92ac90131b70206732367",
+    "d64-2": "40dd97c32cae3b1ca3cd89449fc9c089b0c85228ce3b104c85055ed05380a16e",
+    "biplane-1": "08674ee7cc66a1d65e93c6f7460c951e5e131e14e14b2b0f70d1427715b896d8",
+    "biplane-2": "c433de7e35e2b2ce6c58107f8455b8d3d1fb0bce9e171cbebd61fe3747e3a6d2",
+    "ag2_3": "479cf60c070b571561954e6115c9ba1b1ad3a96770fd954efa417592989cdf45",
+    "ag2_3_complement": "479cf60c070b571561954e6115c9ba1b1ad3a96770fd954efa417592989cdf45",
+    "ag2_4_lines": "7d8372b1e97cd51c75fadf556a79fa9a2df80a8aa8caf5dc23c6873fe0765ff2",
+    "ag3_2_planes": "6203b27d6108ad3a9ec3da2845cef36181e71599ec016ff523b12bd25de32e68",
+    "fano": "37181aec503dff3f9b73a65622d7b348de5f157b2156ccd56786dedcf239ad38",
+    "fano_complement": "37181aec503dff3f9b73a65622d7b348de5f157b2156ccd56786dedcf239ad38",
+    "pg2_3": "48d65a5f5772188fcabcc00b695998d9218a629ed64ff88787c63ceaea39d69d",
+    "pg2_3_complement": "48d65a5f5772188fcabcc00b695998d9218a629ed64ff88787c63ceaea39d69d",
+    "pg2_4": "1b29bfd40687c383c6eb5dc659498ee8cd520c3f8f7f721e01cc8363def16d88",
+    "pg2_4_complement": "1b29bfd40687c383c6eb5dc659498ee8cd520c3f8f7f721e01cc8363def16d88",
+    "pg5_2_hyperplanes": "2ebdeb2087894d605ec79597fcb26d1e9de20327e9b92ac90131b70206732367",
+    "complete(6,3)": "1a1620185b4fb89ab2320266ae034c1926268bfeaf36a1fbd3012226882d9061",
+    "complete(8,7)": "fec1a8b05a070e6830f09747eece5916329c25cf0b693d9b2a29d6fe93d19fa5",
+}
 
 # sha256 digests of [exit code, stdout, stderr] of `construct NAME`, `claims
 # NAME` and `claims NAME --format json`, recorded before every catalog row
@@ -415,18 +448,52 @@ class TestEntries:
         e = entry(name)
         assert is_point_primitive(e.design, e.group) == (not minimal_block_systems(e.group))
 
-    @pytest.mark.parametrize("name, digest", [
-        ("d64-1", "40dd97c32cae3b1ca3cd89449fc9c089b0c85228ce3b104c85055ed05380a16e"),
-        ("s-minus-3", "77c92e1154e7d1d403c1a9ee0be1f68d2ebe216b16b64dc6d4654040dc443070"),
-        ("pg5_2_complement",
-         "2ebdeb2087894d605ec79597fcb26d1e9de20327e9b92ac90131b70206732367")])
+    @pytest.mark.parametrize("name, digest", CHAIN_SHA256.items())
     def test_group_chains_are_pinned(self, name, digest):
         """Base, strong generators and transversal points, as recorded when
         every chain was still built at construction."""
-        g = entry(name).group
-        record = (g.base, [x.img for x in g.strong_generators()],
-                  [list(level) for level in g._trans], g.order())
-        assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+        assert chain_digest(entry(name).group) == digest
+
+    def test_every_entry_chain_is_pinned(self):
+        assert sorted(CHAIN_SHA256) == sorted(ALL_NAMES)
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: automorphism_group(entry("d64-1").design),
+         "3904c4c91e5e6f42d1782f46cf681556af2a625cd2d13fad2f3ea6eaa238003b"),
+        (lambda: biplane_classes()[0][1],
+         "08674ee7cc66a1d65e93c6f7460c951e5e131e14e14b2b0f70d1427715b896d8"),
+        (lambda: biplane_classes()[1][1],
+         "c433de7e35e2b2ce6c58107f8455b8d3d1fb0bce9e171cbebd61fe3747e3a6d2"),
+        (lambda: biplane_classes()[2][1],
+         "59c86db0149d56447f7831d9cbe1d875682d81dd556ec91e0187e5e9db979c96"),
+    ], ids=["unhinted-aut-d64-1", "biplane-class-0", "biplane-class-1", "biplane-class-2"])
+    def test_searched_group_chains_are_pinned(self, build, digest):
+        """Chains of groups found by the automorphism search, recorded while
+        chain elements were still image tuples."""
+        assert chain_digest(build()) == digest
+
+    def test_stabilizer_chains_are_pinned(self):
+        """One stabilizer of the d64 group from each point_stabilizer path,
+        recorded while chain elements were still image tuples."""
+        g = entry("d64-1").group
+        first = g.point_stabilizer(0)
+        assert g.base[0] == 0 and first.order() == 672
+        assert chain_digest(first) == \
+            "483b449a092fe93ac972b4b9fc496a2585ba5f6758bae5ad2651d6eefe57e149"
+        # 21 is in the first basic orbit: the levels are conjugated
+        assert 21 in g._trans[0]
+        assert chain_digest(g.point_stabilizer(21)) == \
+            "b6991d853ec8eb2e7fdcd8ab5f059a64c0c9cb1ee01f1918401aae67850bcbcf"
+        # 63 is moved by the stabilizer but outside its first basic orbit:
+        # one rebuild with 63 as the first base point
+        assert 63 not in first._trans[0] and any(h.img[63] != 63 for h in first.generators)
+        rebuilt = first.point_stabilizer(63)
+        assert rebuilt.order() == 12
+        assert chain_digest(rebuilt) == \
+            "8458972eea3fdda79c2464e90fa690773287256ca77bf775fe9639156aca3457"
+        assert hashlib.sha256(repr([p.img for p in rebuilt.iter_elements()]).encode()
+                              ).hexdigest() == \
+            "f22ebacdd03f26bdbc7c964964dec8e16b74f5d2cd6d83a6c1a3d65376f02f0d"
 
     def test_corrupted_entry_fails_with_witness(self):
         good = entry("fano")

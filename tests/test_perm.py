@@ -1,11 +1,14 @@
 """Tests for permutations, stabilizer chains and block systems."""
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from symdesign.design import design_from_json
 from symdesign.perm import (
+    MAX_POINTS,
     Perm,
     PermGroup,
     minimal_block_systems,
@@ -34,6 +37,31 @@ def cycle_strategy(degree):
 
 def cyc(*cycles, degree):
     return Perm.from_cycles(cycles, degree)
+
+
+@st.composite
+def small_groups_of_large_degree(draw):
+    """(n, generators) on up to MAX_POINTS points, of order at most
+    2 * 7! = 10,080: 1-3 permutations of at most 7 points, and maybe an
+    involution on the other points, alone or folded into the first."""
+    n = draw(st.integers(2, MAX_POINTS))
+    points = draw(st.permutations(range(n)))
+    k = draw(st.integers(2, min(7, n)))
+    support, rest = points[:k], points[k:]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        img = list(range(n))
+        for x, y in zip(support, draw(st.permutations(support))):
+            img[x] = y
+        gens.append(Perm(img))
+    m = draw(st.integers(0, len(rest) // 2))
+    if m:
+        swap = Perm.from_cycles(zip(rest[:m], rest[m:2 * m]), n)
+        if draw(st.booleans()):
+            gens[0] = gens[0] * swap
+        else:
+            gens.append(swap)
+    return n, gens
 
 
 # -- named small groups ----------------------------------------------------
@@ -79,6 +107,12 @@ class TestPermBasics:
             Perm.from_cycles([(0, 1), (1, 2)], 3)
         with pytest.raises(ValueError):
             Perm.from_cycles([(0, 5)], 3)
+
+    @pytest.mark.parametrize("img", [(1.0, 0.0, 2.0), (True, False)])
+    def test_images_that_are_not_ints_rejected(self, img):
+        # sorted(img) == list(range(n)) holds for both
+        with pytest.raises(ValueError, match="not a permutation"):
+            Perm(img)
 
     def test_apply_to_set(self):
         p = cyc((0, 1, 2), degree=4)
@@ -131,6 +165,19 @@ class TestParsing:
     def test_generator_file_requires_degree(self):
         with pytest.raises(ValueError):
             parse_generator_file("(1,2)\n")
+
+    def test_every_boundary_keeps_points_in_one_byte(self):
+        """Chain elements hold one point per byte: the scope must stay
+        below 256, and every way in must enforce it."""
+        assert MAX_POINTS < 256
+        assert parse_generator_file("degree %d\n(1,2)\n" % MAX_POINTS)[0] == MAX_POINTS
+        assert design_from_json('{"v": %d, "blocks": []}' % MAX_POINTS).v == MAX_POINTS
+        assert PermGroup([], MAX_POINTS).degree == MAX_POINTS
+        for reject in (lambda: parse_generator_file("degree %d\n" % (MAX_POINTS + 1)),
+                       lambda: design_from_json('{"v": %d, "blocks": []}' % (MAX_POINTS + 1)),
+                       lambda: PermGroup([], MAX_POINTS + 1)):
+            with pytest.raises(ValueError, match="%d" % MAX_POINTS):
+                reject()
 
     def test_generator_file_degree_above_scope(self):
         assert parse_generator_file("degree 100\n(1,2)\n")[0] == 100
@@ -208,10 +255,51 @@ class TestChainOrders:
         with pytest.raises(TypeError):
             PermGroup([Perm((1, 2, 0))])  # the degree is always given
 
+    def test_degree_within_scope(self):
+        assert PermGroup([Perm.identity(MAX_POINTS)], MAX_POINTS).order() == 1
+        assert PermGroup([cyc(tuple(range(MAX_POINTS)), degree=MAX_POINTS)],
+                         MAX_POINTS).order() == MAX_POINTS
+        for degree in (-1, MAX_POINTS + 1):
+            with pytest.raises(ValueError, match="^degree %d outside 0..%d$"
+                               % (degree, MAX_POINTS)):
+                PermGroup([], degree)
+
+    @settings(deadline=None, max_examples=60)
+    @given(small_groups_of_large_degree(), st.data())
+    def test_large_degree_groups_match_closure(self, group, data):
+        n, gens = group
+        g = PermGroup(gens, n)
+        elements = closure([p.img for p in gens])
+        assert g.order() == len(elements)
+        assert {p.img for p in g.iter_elements()} == elements
+        listed = sorted(elements)
+        probes = [Perm(e) for e in listed[:: max(1, len(listed) // 50)]]
+        for _ in range(20):
+            e = Perm(data.draw(st.sampled_from(listed)))
+            a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            probes.append(e * Perm.from_cycles([(a, b)] if a != b else [], n))
+        probes.append(Perm(data.draw(st.permutations(range(n)))))
+        for p in probes:
+            assert g.contains(p) == (p.img in elements)
+
     def test_iter_elements_enumerates_exactly(self):
         g = PermGroup(A5, 5)
         got = {p.img for p in g.iter_elements()}
         assert got == closure([p.img for p in A5])
+
+    def test_iter_elements_order_is_pinned(self):
+        """The order of the transversal walk, as recorded while chain
+        elements were still image tuples; PSL(2,7) at point 3 conjugates."""
+        def digest(group):
+            return hashlib.sha256(repr([p.img for p in group.iter_elements()]).encode()
+                                  ).hexdigest()
+
+        assert digest(PermGroup(A5, 5)) == \
+            "cbd3e1829b9f7185d3b01864a517d170ce44077a8bc9dc0e4046373c9d04399c"
+        psl = PermGroup(PSL27, 8)
+        assert psl.base[0] == 0 and 3 in psl._trans[0]
+        assert digest(psl.point_stabilizer(3)) == \
+            "ffa3a05cd206a1f66dfa4da49cf4bad9124b24deacd152468e0a88c75c5301d5"
 
     def test_deterministic_chain(self):
         a = PermGroup(PSL27, 8)
